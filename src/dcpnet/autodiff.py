@@ -77,17 +77,6 @@ class Tensor:
             self.grad = np.zeros_like(self.data)
         self.grad += g
 
-    # small conveniences used throughout the model code
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return affine(self, float(other), 0.0)
-
-    __rmul__ = __mul__
-
     def __repr__(self):
         return f"Tensor(shape={list(self.shape)})"
 

@@ -22,8 +22,9 @@ from .network import (
     init_decoder_params,
     init_encoder_params,
 )
-from .protocol import CommLedger, FrameResult, grant_message
+from .protocol import CommLedger, FrameResult, grant_message, merge_ledgers
 from .scenes import SceneSample
+from .training import supervised_loss
 
 BASELINES = ("no-interaction", "concat-all", "aux-view-attention", "random-selection")
 
@@ -51,24 +52,39 @@ def _pooled_attention_weights(feats: list[Tensor], i: int) -> list[Tensor]:
     return [ad.take1d(probs, j) for j in range(len(feats))]
 
 
-def _fuse_baseline(kind: str, feats: list[Tensor], i: int, params, cfg: ModelConfig, rng) -> Tensor:
+def baseline_partners(kind: str, sample: SceneSample, i: int, seed: int = 0) -> list[int]:
+    """Platforms whose features platform i pulls under a baseline regime.
+
+    Random selection draws its one partner from (seed, frame, i), so
+    training and inference pick the same partner for the same frame.
+    """
+    others = [j for j in range(sample.n_platforms) if j != i]
+    if kind == "no-interaction":
+        return []
+    if kind in ("concat-all", "aux-view-attention"):
+        return others
+    if kind == "random-selection":
+        rng = np.random.default_rng((seed, sample.frame, i))
+        return [others[int(rng.integers(0, len(others)))]]
+    raise InputError(f"unknown baseline {kind!r}")
+
+
+def _fuse_baseline(kind: str, feats: list[Tensor], i: int, partners: list[int], params) -> Tensor:
     if kind == "no-interaction":
         return feats[i]
     if kind == "concat-all":
-        ordered = [feats[i]] + [feats[j] for j in range(len(feats)) if j != i]
-        cat = ad.concat(ordered, axis=2)
+        cat = ad.concat([feats[i]] + [feats[j] for j in partners], axis=2)
         return ad.conv1x1(cat, params["cat.reduce.w"], params["cat.reduce.b"])
     if kind == "aux-view-attention":
-        weights = _pooled_attention_weights(feats, i)
+        members = sorted([i] + partners)
+        weights = _pooled_attention_weights([feats[j] for j in members], members.index(i))
         out = None
-        for j, w in enumerate(weights):
+        for j, w in zip(members, weights):
             term = ad.scale_by(feats[j], w)
             out = term if out is None else ad.add(out, term)
         return out
     if kind == "random-selection":
-        others = [j for j in range(len(feats)) if j != i]
-        j = others[int(rng.integers(0, len(others)))]
-        return ad.add(feats[i], feats[j])
+        return ad.add(feats[i], feats[partners[0]])
     raise InputError(f"unknown baseline {kind!r}")
 
 
@@ -76,17 +92,10 @@ def make_baseline_forward(kind: str, seed: int = 0):
     """Forward function compatible with the shared training loop."""
 
     def forward(sample: SceneSample, params, cfg: ModelConfig, supervision: str) -> Tensor:
-        n = sample.n_platforms
-        feats = [encode_view(Tensor(sample.views[i]), params) for i in range(n)]
-        supervised = [sample.victim] if supervision == "victim_only" else list(range(n))
-        loss = None
-        for i in supervised:
-            rng = np.random.default_rng((seed, sample.frame, i))
-            fused = _fuse_baseline(kind, feats, i, params, cfg, rng)
-            logits = decode_segmentation(fused, params)
-            term = ad.cross_entropy(logits, sample.masks[i])
-            loss = term if loss is None else ad.add(loss, term)
-        return loss
+        def fusion(feats):
+            return lambda i: _fuse_baseline(kind, feats, i, baseline_partners(kind, sample, i, seed), params)
+
+        return supervised_loss(sample, params, supervision, fusion)
 
     return forward
 
@@ -95,37 +104,22 @@ def run_baseline_frame(
     kind: str, sample: SceneSample, params, cfg: ModelConfig, seed: int = 0
 ) -> FrameResult:
     """Victim-platform inference with the baseline's communication pattern."""
-    n = sample.n_platforms
     i = sample.victim
     ledger = CommLedger()
-    feats = [encode_view(Tensor(sample.views[j]), params) for j in range(n)]
-    rng = np.random.default_rng((seed, sample.frame, i))
-    if kind == "concat-all" or kind == "aux-view-attention":
-        granted = [j for j in range(n) if j != i]
-    elif kind == "random-selection":
-        others = [j for j in range(n) if j != i]
-        granted = [others[int(rng.integers(0, len(others)))]]
-    elif kind == "no-interaction":
-        granted = []
-    else:
-        raise InputError(f"unknown baseline {kind!r}")
-    for j in granted:
+    feats = [encode_view(Tensor(view), params) for view in sample.views]
+    partners = baseline_partners(kind, sample, i, seed)
+    for j in partners:
         ledger.log(grant_message(j, i, sample.frame, feats[j].data))
-    # re-seed so the fusion draw matches the training-time draw
-    rng = np.random.default_rng((seed, sample.frame, i))
-    fused = _fuse_baseline(kind, feats, i, params, cfg, rng)
-    predictions = []
-    for j in range(n):
-        src = fused if j == i else feats[j]
-        predictions.append(np.argmax(decode_segmentation(src, params).data, axis=2))
-    states = [smim.SmimState(confidence=1.0) for _ in range(n)]
+    fused = _fuse_baseline(kind, feats, i, partners, params)
+    predictions = [
+        np.argmax(decode_segmentation(fused if j == i else f, params).data, axis=2)
+        for j, f in enumerate(feats)
+    ]
+    states = [smim.SmimState(confidence=1.0) for _ in feats]
     return FrameResult(predictions, states, ledger)
 
 
 def run_baseline(kind: str, dataset: list[SceneSample], params, cfg: ModelConfig, seed: int = 0):
     """All frames of a dataset; returns (results, merged ledger)."""
     results = [run_baseline_frame(kind, s, params, cfg, seed) for s in dataset]
-    ledger = CommLedger()
-    for res in results:
-        ledger.merge(res.ledger)
-    return results, ledger
+    return results, merge_ledgers(results)

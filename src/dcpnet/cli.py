@@ -1,17 +1,16 @@
-"""Command-line entry points: gen / train / eval / sweep / report."""
+"""Command-line entry points: gen / train / eval / sweep / report / experiment."""
 
 from __future__ import annotations
 
 import argparse
 import sys
-
-import numpy as np
+import time
 
 from . import harness, reports, scenes
-from .baselines import BASELINES, init_baseline_params, make_baseline_forward
+from .baselines import BASELINES
 from .config import ModelConfig, WorldSpec
 from .errors import DcpError
-from .training import TrainConfig, train
+from .training import TrainConfig
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -89,6 +88,14 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--metrics", required=True)
     r.add_argument("--out", required=True)
 
+    x = sub.add_parser("experiment", help="train and compare the methods of one budgeted experiment")
+    x.add_argument("--mode", choices=tuple(harness.EXPERIMENT_METHODS), required=True)
+    x.add_argument("--train-samples", type=int, default=512)
+    x.add_argument("--val-samples", type=int, default=128)
+    x.add_argument("--seed", type=int, default=7)
+    x.add_argument("--noise-strength", type=float, default=0.72)
+    x.add_argument("--out", default=None, help="report directory (default runs/<mode>)")
+
     return parser
 
 
@@ -116,12 +123,7 @@ def _cmd_train(args) -> int:
         lr=args.lr, epochs=args.epochs, batch_size=args.batch_size,
         seed=args.seed, supervision=args.supervision,
     )
-    if args.baseline:
-        params = init_baseline_params(args.baseline, cfg, args.seed)
-        curve = train(dataset, params, cfg, tcfg, forward_fn=make_baseline_forward(args.baseline, args.seed))
-    else:
-        params = harness.init_dcp_params(cfg, args.seed)
-        curve = train(dataset, params, cfg, tcfg)
+    params, curve = harness.train_method(args.baseline or "dcp-net", dataset, cfg, tcfg)
     harness.save_checkpoint(params, args.ckpt)
     if args.curve:
         curve.to_csv(args.curve)
@@ -130,27 +132,25 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
-    dataset = scenes.load_dataset(args.dataset)
-    cfg = _model_config(args)
-    params = harness.load_checkpoint(args.ckpt)
-    if args.baseline:
-        record, results = harness.evaluate_baseline(
-            args.baseline, dataset, params, cfg,
-            comm_accounting=args.comm_accounting, seed=args.seed,
-        )
-    else:
-        record, results = harness.evaluate_dcp(
-            dataset, params, cfg, comm_accounting=args.comm_accounting
-        )
+def _victim_dumps(results, dataset, count: int) -> dict:
+    """Prediction, mask and view of the victim platform for the first frames."""
     dumps = {}
-    for i, (res, sample) in enumerate(zip(results, dataset)):
-        if i >= args.dump_predictions:
-            break
+    for i, (res, sample) in enumerate(zip(results[:count], dataset)):
         dumps[f"frame{i:04d}_pred"] = res.predictions[sample.victim]
         dumps[f"frame{i:04d}_mask"] = sample.masks[sample.victim]
         dumps[f"frame{i:04d}_view"] = sample.views[sample.victim]
-    reports.emit_report([record], args.out, dumps)
+    return dumps
+
+
+def _cmd_eval(args) -> int:
+    dataset = scenes.load_dataset(args.dataset)
+    cfg = _model_config(args)
+    method = args.baseline or "dcp-net"
+    params = harness.load_model(method, cfg, args.ckpt)
+    record, results = harness.evaluate(
+        method, dataset, params, cfg, comm_accounting=args.comm_accounting, seed=args.seed
+    )
+    reports.emit_report([record], args.out, _victim_dumps(results, dataset, args.dump_predictions))
     print(f"avg mIoU {100 * record.miou_avg:.2f}, comm {record.comm_cost_mbpf:.4f} MBpf -> {args.out}")
     return 0
 
@@ -162,7 +162,7 @@ def _cmd_sweep(args) -> int:
         if not args.ckpt:
             print("threshold sweep needs --ckpt", file=sys.stderr)
             return 2
-        params = harness.load_checkpoint(args.ckpt)
+        params = harness.load_model("dcp-net", cfg, args.ckpt)
         rows = harness.sweep_request_threshold(dataset, params, cfg, args.grid)
         harness.sweep_rows_to_csv(rows, args.out, "threshold")
     else:
@@ -185,12 +185,38 @@ def _cmd_report(args) -> int:
     return 0
 
 
+def _cmd_experiment(args) -> int:
+    out = args.out or f"runs/{args.mode}"
+    t0 = time.time()
+    run = harness.run_experiment(
+        args.mode, args.train_samples, args.val_samples, args.seed, args.noise_strength
+    )
+    records = list(run.records.values())
+    print(f"trained and evaluated {len(records)} methods in {time.time() - t0:.0f} s")
+    print("\n".join([reports.TABLE_HEADER] + [reports.table_row(r) for r in records]))
+    dumps = {}
+    if args.mode == "homo-cis":
+        dcp, ni = run.records["dcp-net"], run.records["no-interaction"]
+        gap = 100.0 * (dcp.miou_noisy - ni.miou_noisy)
+        select = "-" if dcp.select_acc is None else f"{dcp.select_acc:.3f}"
+        print(f"victim mIoU (degraded frames): {100 * dcp.miou_noisy:.2f} "
+              f"vs no-interaction {100 * ni.miou_noisy:.2f}  (gap {gap:+.2f} points)")
+        print(f"degradation detection accuracy: {dcp.detect_acc:.3f}")
+        print(f"clean-twin selection accuracy:  {select}")
+        print(f"communication: {dcp.comm_cost_mbpf:.4f} MBpf")
+        dumps = _victim_dumps(run.results["dcp-net"], run.val_set, 4)
+    reports.emit_report(records, out, dumps)
+    print(f"report written to {out}")
+    return 0
+
+
 _COMMANDS = {
     "gen": _cmd_gen,
     "train": _cmd_train,
     "eval": _cmd_eval,
     "sweep": _cmd_sweep,
     "report": _cmd_report,
+    "experiment": _cmd_experiment,
 }
 
 

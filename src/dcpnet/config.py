@@ -55,10 +55,6 @@ class ModelConfig:
         return self.view_size // 8
 
     @property
-    def collaboration_threshold(self) -> float:
-        return 1.0 / (self.n_platforms - 1)
-
-    @property
     def feature_bytes(self) -> int:
         """Wire payload of one feature grant (float32)."""
         return 4 * self.feature_size * self.feature_size * self.feature_channels

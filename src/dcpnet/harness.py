@@ -1,4 +1,5 @@
-"""Experiment harness: parameter bundles, evaluation, ablation sweeps."""
+"""Experiment harness: parameter bundles, training and evaluation per method,
+budgeted experiments, ablation sweeps."""
 
 from __future__ import annotations
 
@@ -10,9 +11,10 @@ import numpy as np
 from . import baselines as bl
 from . import metrics as mt
 from . import protocol as pr
+from . import scenes
 from .autodiff import Tensor
-from .config import ModelConfig
-from .errors import InputError
+from .config import ModelConfig, WorldSpec
+from .errors import ConfigError, InputError
 from .network import init_decoder_params, init_encoder_params
 from .rff import init_rff_params
 from .scenes import SceneSample
@@ -39,48 +41,39 @@ def load_checkpoint(dirpath) -> dict[str, Tensor]:
     return {k: Tensor(v) for k, v in load_tensor_dict(dirpath).items()}
 
 
-def evaluate_dcp(
-    dataset: list[SceneSample],
-    params: dict[str, Tensor],
-    cfg: ModelConfig,
-    baseline_avg_miou: float | None = None,
-    comm_accounting: str = "feature_only",
-    workers: int = 1,
-) -> tuple[mt.MetricsRecord, list[pr.FrameResult]]:
-    results, ledger = pr.run_frames(dataset, params, cfg, workers=workers)
-    preds = [r.predictions for r in results]
-    n_classes = cfg.classes
-    noisy, normal, avg = mt.split_miou(preds, dataset, dataset[0].victim, n_classes)
-    per_platform = [
-        mt.miou([p[i] for p in preds], [s.masks[i] for s in dataset], n_classes)
-        for i in range(dataset[0].n_platforms)
-    ]
-    comm = pr.mbpf(ledger, len(dataset), comm_accounting)
-    ce = None
-    if baseline_avg_miou is not None:
-        ce = mt.collaboration_efficiency(avg, baseline_avg_miou, comm)
-    detect = select = None
-    if dataset[0].mode == "homo-cis":
-        detect, select = mt.selection_accuracy([r.states for r in results], dataset)
-    record = mt.MetricsRecord(
-        "dcp-net", noisy, normal, avg, per_platform, comm, ce, detect, select
-    )
-    return record, results
+def init_params(method: str, cfg: ModelConfig, seed: int) -> dict[str, Tensor]:
+    """Fresh parameters for DCP-Net ("dcp-net") or one of the baselines."""
+    if method == "dcp-net":
+        return init_dcp_params(cfg, seed)
+    return bl.init_baseline_params(method, cfg, seed)
 
 
-def evaluate_baseline(
-    kind: str,
-    dataset: list[SceneSample],
-    params: dict[str, Tensor],
-    cfg: ModelConfig,
-    baseline_avg_miou: float | None = None,
-    comm_accounting: str = "feature_only",
-    seed: int = 0,
-) -> tuple[mt.MetricsRecord, list[pr.FrameResult]]:
-    results, ledger = bl.run_baseline(kind, dataset, params, cfg, seed)
+def load_model(method: str, cfg: ModelConfig, dirpath) -> dict[str, Tensor]:
+    """A checkpoint whose keys and shapes must match a fresh `method` init for `cfg`."""
+    params = load_checkpoint(dirpath)
+    fresh = init_params(method, cfg, seed=0)
+    for key in sorted(params.keys() | fresh.keys()):
+        got = params[key].shape if key in params else "missing"
+        want = fresh[key].shape if key in fresh else "missing"
+        if got != want:
+            raise ConfigError(
+                f"checkpoint {dirpath} does not fit the {method} model flags: "
+                f"{key!r} is {got}, the flags need {want}"
+            )
+    return params
+
+
+def train_method(method: str, train_set: list[SceneSample], cfg: ModelConfig, tcfg: TrainConfig):
+    """Fresh init plus the shared training loop; returns (params, loss curve)."""
+    params = init_params(method, cfg, tcfg.seed)
+    forward = None if method == "dcp-net" else bl.make_baseline_forward(method, tcfg.seed)
+    return params, train(train_set, params, cfg, tcfg, forward_fn=forward)
+
+
+def _record(method, dataset, results, ledger, cfg, baseline_avg_miou, comm_accounting) -> mt.MetricsRecord:
+    """Victim-split, per-platform and communication metrics of one evaluated method."""
     preds = [r.predictions for r in results]
-    victim = dataset[0].victim
-    noisy, normal, avg = mt.split_miou(preds, dataset, victim, cfg.classes)
+    noisy, normal, avg = mt.split_miou(preds, dataset, dataset[0].victim, cfg.classes)
     per_platform = [
         mt.miou([p[i] for p in preds], [s.masks[i] for s in dataset], cfg.classes)
         for i in range(dataset[0].n_platforms)
@@ -89,8 +82,86 @@ def evaluate_baseline(
     ce = None
     if baseline_avg_miou is not None:
         ce = mt.collaboration_efficiency(avg, baseline_avg_miou, comm)
-    record = mt.MetricsRecord(kind, noisy, normal, avg, per_platform, comm, ce)
+    return mt.MetricsRecord(method, noisy, normal, avg, per_platform, comm, ce)
+
+
+def evaluate_dcp(
+    dataset: list[SceneSample],
+    params: dict[str, Tensor],
+    cfg: ModelConfig,
+    baseline_avg_miou: float | None = None,
+    comm_accounting: str = "feature_only",
+) -> tuple[mt.MetricsRecord, list[pr.FrameResult]]:
+    results, ledger = pr.run_frames(dataset, params, cfg)
+    record = _record("dcp-net", dataset, results, ledger, cfg, baseline_avg_miou, comm_accounting)
+    if dataset[0].mode == "homo-cis":
+        record.detect_acc, record.select_acc = mt.selection_accuracy([r.states for r in results], dataset)
     return record, results
+
+
+def evaluate(
+    method: str,
+    dataset: list[SceneSample],
+    params: dict[str, Tensor],
+    cfg: ModelConfig,
+    baseline_avg_miou: float | None = None,
+    comm_accounting: str = "feature_only",
+    seed: int = 0,
+) -> tuple[mt.MetricsRecord, list[pr.FrameResult]]:
+    """DCP-Net through the protocol, or a baseline with its own traffic pattern."""
+    if method == "dcp-net":
+        return evaluate_dcp(dataset, params, cfg, baseline_avg_miou, comm_accounting)
+    results, ledger = bl.run_baseline(method, dataset, params, cfg, seed)
+    return _record(method, dataset, results, ledger, cfg, baseline_avg_miou, comm_accounting), results
+
+
+# the methods each budgeted experiment compares; the first is the CE referent
+EXPERIMENT_METHODS = {
+    "homo-cis": ("no-interaction", "dcp-net"),
+    "homo-pis": bl.BASELINES + ("dcp-net",),
+}
+
+
+@dataclass
+class Experiment:
+    """What `run_experiment` trained and measured, keyed by method."""
+
+    cfg: ModelConfig
+    val_set: list[SceneSample]
+    params: dict[str, dict[str, Tensor]]
+    records: dict[str, mt.MetricsRecord]
+    results: dict[str, list[pr.FrameResult]]
+
+
+def run_experiment(
+    mode: str,
+    train_samples: int = 512,
+    val_samples: int = 128,
+    seed: int = 7,
+    noise_strength: float = 0.72,
+) -> Experiment:
+    """Train and evaluate every method of `mode` on the same data and budget.
+
+    homo-cis compares No-Interaction and DCP-Net on the default world;
+    homo-pis compares every method on a dense-overlap 80 px world.  The
+    validation set is seeded with `seed + 1000`.
+    """
+    if mode not in EXPERIMENT_METHODS:
+        raise InputError(f"unknown experiment {mode!r}, expected one of {tuple(EXPERIMENT_METHODS)}")
+    cfg = ModelConfig()
+    spec = WorldSpec() if mode == "homo-cis" else WorldSpec(world_size=80, min_view_separation=0)
+    train_set = scenes.make_dataset(spec, mode, train_samples, seed=seed, noise_strength=noise_strength)
+    val_set = scenes.make_dataset(spec, mode, val_samples, seed=seed + 1000, noise_strength=noise_strength)
+    tcfg = TrainConfig(seed=seed)
+    run = Experiment(cfg, val_set, {}, {}, {})
+    referent = None
+    for method in EXPERIMENT_METHODS[mode]:
+        params, _ = train_method(method, train_set, cfg, tcfg)
+        record, results = evaluate(method, val_set, params, cfg, referent, seed=seed)
+        if referent is None:
+            referent = record.miou_avg
+        run.params[method], run.records[method], run.results[method] = params, record, results
+    return run
 
 
 @dataclass
@@ -107,24 +178,17 @@ def sweep_request_threshold(
     params: dict[str, Tensor],
     cfg: ModelConfig,
     grid=None,
-    workers: int = 1,
 ) -> list[SweepRow]:
     """One inference pass per threshold over shared trained parameters."""
     grid = [round(0.1 * i, 1) for i in range(11)] if grid is None else list(grid)
     if any(t < 0 or t > 1 for t in grid):
         raise InputError("threshold grid must lie in [0, 1]")
+    # the zero-threshold protocol-off run is the CE referent
+    off, _ = evaluate_dcp(dataset, params, replace(cfg, request_threshold=0.0))
     rows = []
-    baseline_avg = None
     for thresh in grid:
-        record, _ = evaluate_dcp(
-            dataset, params, replace(cfg, request_threshold=thresh), workers=workers
-        )
-        if baseline_avg is None:
-            # the zero-threshold protocol-off run is the CE referent
-            off_record, _ = evaluate_dcp(dataset, params, replace(cfg, request_threshold=0.0))
-            baseline_avg = off_record.miou_avg
-        ce = mt.collaboration_efficiency(record.miou_avg, baseline_avg, record.comm_cost_mbpf)
-        rows.append(SweepRow(thresh, record.miou_avg, record.comm_cost_mbpf, ce))
+        record, _ = evaluate_dcp(dataset, params, replace(cfg, request_threshold=thresh), off.miou_avg)
+        rows.append(SweepRow(thresh, record.miou_avg, record.comm_cost_mbpf, record.ce))
     return rows
 
 
@@ -139,12 +203,10 @@ def sweep_request_size(
     rows = []
     for r in grid:
         cfg_r = replace(cfg, request_dim=int(r))  # raises ConfigError when r > qk dim
-        params = init_dcp_params(cfg_r, tcfg.seed)
-        train(train_set, params, cfg_r, tcfg)
-        record, _ = evaluate_dcp(val_set, params, cfg_r)
-        off_record, _ = evaluate_dcp(val_set, params, replace(cfg_r, request_threshold=0.0))
-        ce = mt.collaboration_efficiency(record.miou_avg, off_record.miou_avg, record.comm_cost_mbpf)
-        rows.append(SweepRow(int(r), record.miou_avg, record.comm_cost_mbpf, ce, cfg_r.request_bytes))
+        params, _ = train_method("dcp-net", train_set, cfg_r, tcfg)
+        off, _ = evaluate_dcp(val_set, params, replace(cfg_r, request_threshold=0.0))
+        record, _ = evaluate_dcp(val_set, params, cfg_r, off.miou_avg)
+        rows.append(SweepRow(int(r), record.miou_avg, record.comm_cost_mbpf, record.ce, cfg_r.request_bytes))
     return rows
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -67,17 +67,7 @@ class MetricsRecord:
     select_acc: float | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "miou_noisy": self.miou_noisy,
-            "miou_normal": self.miou_normal,
-            "miou_avg": self.miou_avg,
-            "per_platform_miou": self.per_platform_miou,
-            "comm_cost_mbpf": self.comm_cost_mbpf,
-            "ce": self.ce,
-            "detect_acc": self.detect_acc,
-            "select_acc": self.select_acc,
-        }
+        return asdict(self)
 
 
 def split_miou(predictions_per_frame, dataset, platform: int, n_classes: int):

@@ -8,23 +8,12 @@ upsampling back to image resolution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import ModelConfig
 from .errors import InputError, ShapeError
-
-
-@dataclass
-class FeatureMap:
-    """Encoder output attached to its provenance."""
-
-    tensor: Tensor
-    source_platform: int
-    frame: int
 
 
 def glorot(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> Tensor:
@@ -51,8 +40,8 @@ def init_encoder_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str,
     return params
 
 
-def init_decoder_params(cfg: ModelConfig, rng: np.random.Generator, in_channels: int | None = None) -> dict[str, Tensor]:
-    cin = cfg.feature_channels if in_channels is None else in_channels
+def init_decoder_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, Tensor]:
+    cin = cfg.feature_channels
     return {
         "dec.head.w": glorot(rng, (cin, cfg.classes), cin, cfg.classes),
         "dec.head.b": Tensor(np.zeros(cfg.classes)),

@@ -220,7 +220,12 @@ def run_frames(
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(lambda s: run_frame(s, params, cfg), samples))
+    return results, merge_ledgers(results)
+
+
+def merge_ledgers(results: list[FrameResult]) -> CommLedger:
+    """One ledger holding every frame's messages, in frame order."""
     ledger = CommLedger()
     for res in results:
         ledger.merge(res.ledger)
-    return results, ledger
+    return ledger

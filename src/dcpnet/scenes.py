@@ -242,30 +242,49 @@ def save_dataset(samples: list[SceneSample], dirpath) -> None:
     (d / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
+def _parse_sample_line(line: str):
+    """(frame, mode, seed, victim, twin, degraded) of one manifest sample line."""
+    parts = line.split()
+    if len(parts) != 7 or parts[0] != "sample":
+        raise FormatError(f"malformed manifest line {line!r}")
+    try:
+        frame, seed, victim, twin = (int(parts[k]) for k in (1, 3, 4, 5))
+    except ValueError as exc:
+        raise FormatError(f"non-integer field in manifest line {line!r}") from exc
+    mode, flags = parts[2], parts[6]
+    n = len(flags)
+    if mode not in MODES:
+        raise FormatError(f"unknown mode {mode!r} in manifest line {line!r}")
+    if set(flags) - {"0", "1"}:
+        raise FormatError(f"degradation flags {flags!r} are not 0/1")
+    if not 0 <= victim < n:
+        raise FormatError(f"victim {victim} outside [0, {n}) in manifest line {line!r}")
+    if twin != -1 and not 0 <= twin < n or twin == victim:
+        raise FormatError(f"clean twin {twin} is neither -1 nor another platform in [0, {n})")
+    return frame, mode, seed, victim, twin, [c == "1" for c in flags]
+
+
 def load_dataset(dirpath) -> list[SceneSample]:
     d = Path(dirpath)
     manifest = d / "manifest.txt"
     if not manifest.is_file():
         raise FormatError(f"missing manifest {manifest}")
     lines = manifest.read_text().splitlines()
-    if not lines or not lines[0].startswith("count "):
+    header = lines[0].split() if lines else []
+    if len(header) != 2 or header[0] != "count" or not header[1].isdecimal():
         raise FormatError("manifest missing count header")
     samples = []
     for line in lines[1:]:
         if not line.strip():
             continue
-        parts = line.split()
-        if len(parts) != 7 or parts[0] != "sample":
-            raise FormatError(f"malformed manifest line {line!r}")
-        frame, mode, seed, victim, twin = int(parts[1]), parts[2], int(parts[3]), int(parts[4]), int(parts[5])
-        degraded = [c == "1" for c in parts[6]]
+        frame, mode, seed, victim, twin, degraded = _parse_sample_line(line)
         n = len(degraded)
         views = [load_tensor(d / f"f{frame:05d}_view{i}.dcpt") for i in range(n)]
         masks = [load_tensor(d / f"f{frame:05d}_mask{i}.dcpt").astype(np.int64) for i in range(n)]
         samples.append(
             SceneSample(views, masks, degraded, victim, None if twin < 0 else twin, mode, seed, frame)
         )
-    expected = int(lines[0].split()[1])
+    expected = int(header[1])
     if len(samples) != expected:
         raise FormatError(f"manifest promises {expected} samples, found {len(samples)}")
     return samples

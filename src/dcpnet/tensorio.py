@@ -41,6 +41,8 @@ def tensor_from_bytes(buf: bytes) -> np.ndarray:
     if len(payload) != 4 * count:
         raise FormatError(f"tensor payload is {len(payload)} bytes, expected {4 * count}")
     data = np.frombuffer(payload, dtype="<f4").reshape(dims)
+    if not np.isfinite(data).all():
+        raise FormatError("tensor payload holds non-finite values")
     return data.astype(np.float64)
 
 

@@ -78,16 +78,16 @@ def zero_grad(params: dict[str, Tensor]) -> None:
         p.grad = None
 
 
-def centralized_forward(
-    sample: SceneSample,
-    params: dict[str, Tensor],
-    cfg: ModelConfig,
-    supervision: str = "victim_only",
-) -> Tensor:
-    """Soft fused loss over the supervised platforms of one sample."""
+def supervised_loss(sample: SceneSample, params: dict[str, Tensor], supervision: str, fusion) -> Tensor:
+    """Summed cross-entropy over the supervised platforms of one sample.
+
+    Every view is encoded first; `fusion(feats)` then returns `fuse(i)`,
+    platform i's fused feature grid.  The fusion is the only part that
+    differs between DCP-Net and the baselines.
+    """
     n = sample.n_platforms
     feats = [encode_view(Tensor(sample.views[i]), params) for i in range(n)]
-    qk = [smim.encode_query_key(feats[i], params) for i in range(n)]
+    fuse = fusion(feats)
 
     if supervision == "victim_only":
         supervised = [sample.victim]
@@ -98,21 +98,40 @@ def centralized_forward(
 
     loss = None
     for i in supervised:
+        logits = decode_segmentation(fuse(i), params)
+        term = ad.cross_entropy(logits, sample.masks[i])
+        loss = term if loss is None else ad.add(loss, term)
+    return loss
+
+
+def soft_fusion(feats: list[Tensor], params: dict[str, Tensor]):
+    """DCP-Net's training-time fusion: every candidate, soft match scores."""
+    qk = [smim.encode_query_key(f, params) for f in feats]
+
+    def fuse(i: int) -> Tensor:
         q, k = qk[i]
         p = smim.self_confidence(q, k)
         r = smim.encode_request(feats[i], params)
         relevances = {
             j: smim.candidate_relevance(r, qk[j][1], params["smim.w_alpha"])
-            for j in range(n)
+            for j in range(len(feats))
             if j != i
         }
         scores = smim.match_scores(relevances)
         related = {j: rff.compute_related(feats[i], feats[j], params) for j in scores}
-        fused = rff.fuse(feats[i], related, p, scores, requested=True)
-        logits = decode_segmentation(fused, params)
-        term = ad.cross_entropy(logits, sample.masks[i])
-        loss = term if loss is None else ad.add(loss, term)
-    return loss
+        return rff.fuse(feats[i], related, p, scores, requested=True)
+
+    return fuse
+
+
+def centralized_forward(
+    sample: SceneSample,
+    params: dict[str, Tensor],
+    cfg: ModelConfig,
+    supervision: str = "victim_only",
+) -> Tensor:
+    """Soft fused loss over the supervised platforms of one sample."""
+    return supervised_loss(sample, params, supervision, lambda feats: soft_fusion(feats, params))
 
 
 @dataclass

@@ -4,10 +4,8 @@ import time
 
 import pytest
 
-from dcpnet import harness, scenes, training
-from dcpnet import baselines as bl
+from dcpnet import harness
 from dcpnet.config import ModelConfig, WorldSpec
-from dcpnet.training import TrainConfig
 
 NOISE = dict(noise_kinds=("gaussian", "occlusion"), noise_strength=0.72)
 TRAIN_SEED = 7
@@ -31,57 +29,20 @@ def small_spec(**overrides) -> WorldSpec:
     return WorldSpec(**base)
 
 
-def _train_no_interaction(train_set, cfg, tcfg):
-    params = bl.init_baseline_params("no-interaction", cfg, tcfg.seed)
-    training.train(train_set, params, cfg, tcfg,
-                   forward_fn=bl.make_baseline_forward("no-interaction", tcfg.seed))
-    return params
-
-
 @pytest.fixture(scope="session")
 def toy_cis():
     """Homo-CIS budgeted run: DCP-Net and No-Interaction, identically trained."""
-    cfg = ModelConfig()
-    spec = WorldSpec()
-    train_set = scenes.make_dataset(spec, "homo-cis", 512, seed=TRAIN_SEED, **NOISE)
-    val_set = scenes.make_dataset(spec, "homo-cis", 128, seed=VAL_SEED, **NOISE)
-    tcfg = TrainConfig(seed=TRAIN_SEED)
-
     t0 = time.time()
-    params = harness.init_dcp_params(cfg, seed=TRAIN_SEED)
-    training.train(train_set, params, cfg, tcfg)
-    ni_params = _train_no_interaction(train_set, cfg, tcfg)
-    elapsed = time.time() - t0
-
-    dcp, _ = harness.evaluate_dcp(val_set, params, cfg)
-    ni, _ = harness.evaluate_baseline("no-interaction", val_set, ni_params, cfg, seed=TRAIN_SEED)
+    run = harness.run_experiment("homo-cis", seed=TRAIN_SEED)
     return {
-        "cfg": cfg, "val": val_set, "params": params,
-        "dcp": dcp, "ni": ni, "train_seconds": elapsed,
+        "cfg": run.cfg, "params": run.params["dcp-net"],
+        "dcp": run.records["dcp-net"], "ni": run.records["no-interaction"],
+        "train_seconds": time.time() - t0,
     }
 
 
 @pytest.fixture(scope="session")
 def toy_pis():
     """Homo-PIS budgeted run: all implemented methods on the same data."""
-    cfg = ModelConfig()
-    spec = WorldSpec(world_size=80, min_view_separation=0)
-    train_set = scenes.make_dataset(spec, "homo-pis", 512, seed=TRAIN_SEED, **NOISE)
-    val_set = scenes.make_dataset(spec, "homo-pis", 128, seed=VAL_SEED, **NOISE)
-    tcfg = TrainConfig(seed=TRAIN_SEED)
-
-    records = {}
-    ni_params = _train_no_interaction(train_set, cfg, tcfg)
-    ni, _ = harness.evaluate_baseline("no-interaction", val_set, ni_params, cfg, seed=TRAIN_SEED)
-    records["no-interaction"] = ni
-    for kind in ("concat-all", "aux-view-attention", "random-selection"):
-        p = bl.init_baseline_params(kind, cfg, TRAIN_SEED)
-        training.train(train_set, p, cfg, tcfg, forward_fn=bl.make_baseline_forward(kind, TRAIN_SEED))
-        rec, _ = harness.evaluate_baseline(kind, val_set, p, cfg,
-                                           baseline_avg_miou=ni.miou_avg, seed=TRAIN_SEED)
-        records[kind] = rec
-    params = harness.init_dcp_params(cfg, seed=TRAIN_SEED)
-    training.train(train_set, params, cfg, tcfg)
-    rec, _ = harness.evaluate_dcp(val_set, params, cfg, baseline_avg_miou=ni.miou_avg)
-    records["dcp-net"] = rec
-    return {"cfg": cfg, "records": records}
+    run = harness.run_experiment("homo-pis", seed=TRAIN_SEED)
+    return {"cfg": run.cfg, "records": run.records}

@@ -1,6 +1,8 @@
 """End-to-end CLI pipeline on a miniature configuration."""
 
-import numpy as np
+import json
+
+import pytest
 
 from dcpnet import cli
 
@@ -86,3 +88,52 @@ def test_cli_surfaces_typed_errors_as_exit_codes(tmp_path, capsys):
                    "--out", str(tmp_path / "s.csv"), *SMALL])
     assert rc in (1, 2)
     capsys.readouterr()
+
+
+def test_checkpoint_must_fit_the_model_flags(tmp_path, capsys):
+    ds = tmp_path / "ds"
+    cli.main([
+        "gen", "--mode", "homo-cis", "--samples", "2", "--seed", "3", "--out", str(ds),
+        "--world-size", "32", "--view-size", "16", "--classes", "3", "--platforms", "2",
+    ])
+    ckpt = tmp_path / "ckpt"
+    rc = cli.main(["train", "--dataset", str(ds), "--ckpt", str(ckpt), "--epochs", "1",
+                   "--request-dim", "4", *SMALL])
+    assert rc == 0
+    capsys.readouterr()
+    wrong_classes = ["--platforms", "2", "--view-size", "16", "--classes", "5", "--request-dim", "4"]
+    rc = cli.main(["eval", "--dataset", str(ds), "--ckpt", str(ckpt),
+                   "--out", str(tmp_path / "r"), *wrong_classes])
+    assert rc == 1
+    assert "'dec.head.b'" in capsys.readouterr().err
+    rc = cli.main(["sweep", "--dataset", str(ds), "--ckpt", str(ckpt),
+                   "--out", str(tmp_path / "s.csv"), "--request-dim", "8", *SMALL])
+    assert rc == 1
+    assert "'smim.r.b'" in capsys.readouterr().err
+    rc = cli.main(["eval", "--dataset", str(ds), "--ckpt", str(ckpt), "--baseline", "concat-all",
+                   "--out", str(tmp_path / "r"), "--request-dim", "4", *SMALL])
+    assert rc == 1
+    assert "'cat.reduce.b'" in capsys.readouterr().err
+
+
+def test_tiny_experiments_write_reports(tmp_path, capsys):
+    for mode, methods in (
+        ("homo-cis", ["no-interaction", "dcp-net"]),
+        ("homo-pis", ["no-interaction", "concat-all", "aux-view-attention", "random-selection", "dcp-net"]),
+    ):
+        out = tmp_path / mode
+        rc = cli.main(["experiment", "--mode", mode, "--train-samples", "2", "--val-samples", "2",
+                       "--seed", "1", "--out", str(out)])
+        assert rc == 0
+        records = json.loads((out / "metrics.json").read_text())
+        assert [r["method"] for r in records] == methods
+        assert records[0]["ce"] is None   # No-Interaction is the CE referent
+        for r in records[1:]:
+            if r["comm_cost_mbpf"] > 0:
+                gain = r["miou_avg"] - records[0]["miou_avg"]
+                assert r["ce"] == pytest.approx(100 * gain / r["comm_cost_mbpf"])
+        assert (out / "tables.csv").is_file()
+        dumps = sorted(p.name for p in out.glob("frame*"))
+        assert len(dumps) == (6 if mode == "homo-cis" else 0)
+    printed = capsys.readouterr().out
+    assert "clean-twin selection accuracy" in printed and "report written to" in printed

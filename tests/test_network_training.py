@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from dcpnet import autodiff as ad
 from dcpnet import harness, scenes, training
+from dcpnet import protocol as pr
 from dcpnet import baselines as bl
 from dcpnet.autodiff import Tensor
 from dcpnet.config import ModelConfig
@@ -144,3 +146,45 @@ def test_request_size_sweep_retrains_per_size():
     assert [r.request_bytes for r in rows] == [8, 32]
     with pytest.raises(ConfigError):
         harness.sweep_request_size(train_set, val_set, cfg, tcfg, grid=(16,))
+
+
+def test_all_platforms_supervision_trains_every_method():
+    cfg = small_cfg(n_platforms=3)
+    data = scenes.make_dataset(small_spec(), "homo-pis", 4, seed=0, n_platforms=3)
+    tcfg = TrainConfig(lr=1e-2, epochs=1, batch_size=2, seed=0, supervision="all_platforms")
+    for method in ("dcp-net",) + bl.BASELINES:
+        params = harness.init_params(method, cfg, 0)
+        forward = training.centralized_forward if method == "dcp-net" else bl.make_baseline_forward(method, 0)
+        loss = forward(data[0], params, cfg, "all_platforms")
+        victim_loss = forward(data[0], params, cfg, "victim_only")
+        assert np.isfinite(loss.item()) and loss.item() > victim_loss.item()
+        ad.backward(loss)
+        for key in ("dec.head.w", "dec.head.b"):
+            grad = params[key].grad
+            assert grad is not None and np.all(np.isfinite(grad)) and np.any(grad != 0.0)
+        _, curve = harness.train_method(method, data, cfg, tcfg)
+        assert all(np.isfinite(v) for v in curve.losses)
+
+
+def test_random_selection_fuses_the_granted_partner():
+    cfg = small_cfg(n_platforms=4)
+    data = scenes.make_dataset(small_spec(), "homo-pis", 12, seed=0, n_platforms=4)
+    params = bl.init_baseline_params("random-selection", cfg, 0)
+    forward = bl.make_baseline_forward("random-selection", 3)
+    distinguishable = 0
+    for sample in data:
+        res = bl.run_baseline_frame("random-selection", sample, params, cfg, seed=3)
+        [(_, src, dst, kind, _)] = res.ledger.entries
+        assert (dst, kind) == (sample.victim, pr.KIND_GRANT)
+        feats = [encode_view(Tensor(v), params) for v in sample.views]
+        logits = {
+            j: decode_segmentation(ad.add(feats[sample.victim], feats[j]), params)
+            for j in range(1, 4)
+        }
+        assert np.array_equal(res.predictions[sample.victim], np.argmax(logits[src].data, axis=2))
+        # training fuses the same partner
+        expected = ad.cross_entropy(logits[src], sample.masks[sample.victim]).item()
+        assert forward(sample, params, cfg, "victim_only").item() == expected
+        others = [ad.cross_entropy(logits[j], sample.masks[sample.victim]).item() for j in logits if j != src]
+        distinguishable += expected not in others
+    assert distinguishable == len(data)

@@ -6,6 +6,7 @@ import pytest
 from dcpnet import scenes
 from dcpnet.config import NoiseConfig, WorldSpec
 from dcpnet.errors import ConfigError, FormatError, InputError
+from dcpnet.tensorio import tensor_to_bytes
 
 from conftest import small_spec
 
@@ -130,3 +131,48 @@ def test_dataset_round_trip_and_manifest_checks(tmp_path):
         scenes.load_dataset(out)
     with pytest.raises(FormatError):
         scenes.load_dataset(tmp_path / "missing")
+
+
+def _one_sample_set(tmp_path):
+    samples = scenes.make_dataset(small_spec(), "homo-cis", 1, seed=1, n_platforms=2)
+    out = tmp_path / "ds"
+    scenes.save_dataset(samples, out)
+    return out
+
+
+@pytest.mark.parametrize("line", [
+    pytest.param("sample 0 bogus 1 0 1 10", id="unknown-mode"),
+    pytest.param("sample 0 homo-cis 1 9 1 10", id="victim-past-n"),
+    pytest.param("sample 0 homo-cis 1 -1 1 10", id="negative-victim"),
+    pytest.param("sample 0 homo-cis 1 0 5 10", id="twin-past-n"),
+    pytest.param("sample 0 homo-cis 1 0 -2 10", id="twin-below-minus-one"),
+    pytest.param("sample 0 homo-cis 1 0 0 10", id="twin-is-victim"),
+    pytest.param("sample 0 homo-cis 1 0 1 12", id="flag-not-binary"),
+    pytest.param("sample x homo-cis 1 0 1 10", id="non-integer-frame"),
+    pytest.param("sample 0 homo-cis 1.5 0 1 10", id="non-integer-seed"),
+    pytest.param("sample 0 homo-cis 1 v 1 10", id="non-integer-victim"),
+    pytest.param("sample 0 homo-cis 1 0 t 10", id="non-integer-twin"),
+])
+def test_manifest_field_checks(tmp_path, line):
+    out = _one_sample_set(tmp_path)
+    (out / "manifest.txt").write_text(f"count 1\n{line}\n")
+    with pytest.raises(FormatError):
+        scenes.load_dataset(out)
+
+
+def test_manifest_count_header_is_checked(tmp_path):
+    out = _one_sample_set(tmp_path)
+    body = (out / "manifest.txt").read_text().splitlines()[1]
+    for header in ("count", "count x", "count 1 2", "total 1"):
+        (out / "manifest.txt").write_text(f"{header}\n{body}\n")
+        with pytest.raises(FormatError):
+            scenes.load_dataset(out)
+
+
+def test_non_finite_view_is_rejected(tmp_path):
+    out = _one_sample_set(tmp_path)
+    view = scenes.load_dataset(out)[0].views[1].copy()
+    view[3, 4, 0] = np.nan
+    (out / "f00000_view1.dcpt").write_bytes(tensor_to_bytes(view))
+    with pytest.raises(FormatError, match="non-finite"):
+        scenes.load_dataset(out)
