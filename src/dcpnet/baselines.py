@@ -1,9 +1,9 @@
 """Reference fusion policies trained with the same harness.
 
 Each baseline owns its fusion head and is trained by the shared loop;
-evaluation runs on the victim platform with the same byte accounting as
-the full protocol (centralized policies pull all candidate features,
-random selection pulls exactly one, no-interaction pulls none).
+`protocol.run_frame` runs it on the victim platform with the same byte
+accounting as the full protocol (centralized policies pull all candidate
+features, random selection pulls exactly one, no-interaction pulls none).
 """
 
 from __future__ import annotations
@@ -11,18 +11,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from . import smim
 from .autodiff import Tensor
 from .config import ModelConfig
 from .errors import InputError
-from .network import (
-    decode_segmentation,
-    encode_view,
-    glorot,
-    init_decoder_params,
-    init_encoder_params,
-)
-from .protocol import CommLedger, FrameResult, grant_message, merge_ledgers
+from .network import glorot, init_decoder_params, init_encoder_params
 from .scenes import SceneSample
 from .training import supervised_loss
 
@@ -98,28 +90,3 @@ def make_baseline_forward(kind: str, seed: int = 0):
         return supervised_loss(sample, params, supervision, fusion)
 
     return forward
-
-
-def run_baseline_frame(
-    kind: str, sample: SceneSample, params, cfg: ModelConfig, seed: int = 0
-) -> FrameResult:
-    """Victim-platform inference with the baseline's communication pattern."""
-    i = sample.victim
-    ledger = CommLedger()
-    feats = [encode_view(Tensor(view), params) for view in sample.views]
-    partners = baseline_partners(kind, sample, i, seed)
-    for j in partners:
-        ledger.log(grant_message(j, i, sample.frame, feats[j].data))
-    fused = _fuse_baseline(kind, feats, i, partners, params)
-    predictions = [
-        np.argmax(decode_segmentation(fused if j == i else f, params).data, axis=2)
-        for j, f in enumerate(feats)
-    ]
-    states = [smim.SmimState(confidence=1.0) for _ in feats]
-    return FrameResult(predictions, states, ledger)
-
-
-def run_baseline(kind: str, dataset: list[SceneSample], params, cfg: ModelConfig, seed: int = 0):
-    """All frames of a dataset; returns (results, merged ledger)."""
-    results = [run_baseline_frame(kind, s, params, cfg, seed) for s in dataset]
-    return results, merge_ledgers(results)

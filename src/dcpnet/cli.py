@@ -9,25 +9,25 @@ import time
 from . import harness, reports, scenes
 from .baselines import BASELINES
 from .config import ModelConfig, WorldSpec
-from .errors import DcpError
+from .errors import DcpError, InputError
 from .training import TrainConfig
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--platforms", type=int, default=4)
-    p.add_argument("--view-size", type=int, default=64)
     p.add_argument("--classes", type=int, default=6)
-    p.add_argument("--request-threshold", type=float, default=0.8)
     p.add_argument("--request-dim", type=int, default=32)
 
 
-def _model_config(args) -> ModelConfig:
+def _model_config(args, dataset, **flags) -> ModelConfig:
+    """The model flags, with the platform count and view size of the dataset."""
+    if not dataset:
+        raise InputError(f"dataset {args.dataset} holds no samples")
     return ModelConfig(
-        n_platforms=args.platforms,
-        view_size=args.view_size,
+        n_platforms=dataset[0].n_platforms,
+        view_size=dataset[0].views[0].shape[0],
         classes=args.classes,
-        request_threshold=args.request_threshold,
         request_dim=args.request_dim,
+        **flags,
     )
 
 
@@ -68,6 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--out", required=True)
     e.add_argument("--comm-accounting", choices=("feature_only", "total"), default="feature_only")
     e.add_argument("--seed", type=int, default=0)
+    e.add_argument("--request-threshold", type=float, default=0.8)
     e.add_argument("--dump-predictions", type=int, default=0,
                    help="dump the first N frames as PGM/PPM files")
     _add_model_flags(e)
@@ -81,6 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--epochs", type=int, default=20)
     s.add_argument("--lr", type=float, default=2e-3)
     s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--request-threshold", type=float, default=0.8)
     s.add_argument("--out", required=True)
     _add_model_flags(s)
 
@@ -118,7 +120,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_train(args) -> int:
     dataset = scenes.load_dataset(args.dataset)
-    cfg = _model_config(args)
+    cfg = _model_config(args, dataset)
     tcfg = TrainConfig(
         lr=args.lr, epochs=args.epochs, batch_size=args.batch_size,
         seed=args.seed, supervision=args.supervision,
@@ -144,7 +146,7 @@ def _victim_dumps(results, dataset, count: int) -> dict:
 
 def _cmd_eval(args) -> int:
     dataset = scenes.load_dataset(args.dataset)
-    cfg = _model_config(args)
+    cfg = _model_config(args, dataset, request_threshold=args.request_threshold)
     method = args.baseline or "dcp-net"
     params = harness.load_model(method, cfg, args.ckpt)
     record, results = harness.evaluate(
@@ -157,7 +159,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_sweep(args) -> int:
     dataset = scenes.load_dataset(args.dataset)
-    cfg = _model_config(args)
+    cfg = _model_config(args, dataset, request_threshold=args.request_threshold)
     if args.kind == "threshold":
         if not args.ckpt:
             print("threshold sweep needs --ckpt", file=sys.stderr)

@@ -72,6 +72,8 @@ def train_method(method: str, train_set: list[SceneSample], cfg: ModelConfig, tc
 
 def _record(method, dataset, results, ledger, cfg, baseline_avg_miou, comm_accounting) -> mt.MetricsRecord:
     """Victim-split, per-platform and communication metrics of one evaluated method."""
+    if not dataset:
+        raise InputError(f"cannot evaluate {method} on an empty dataset")
     preds = [r.predictions for r in results]
     noisy, normal, avg = mt.split_miou(preds, dataset, dataset[0].victim, cfg.classes)
     per_platform = [
@@ -108,10 +110,10 @@ def evaluate(
     comm_accounting: str = "feature_only",
     seed: int = 0,
 ) -> tuple[mt.MetricsRecord, list[pr.FrameResult]]:
-    """DCP-Net through the protocol, or a baseline with its own traffic pattern."""
+    """Any method through the protocol; DCP-Net also scores its selection accuracy."""
     if method == "dcp-net":
         return evaluate_dcp(dataset, params, cfg, baseline_avg_miou, comm_accounting)
-    results, ledger = bl.run_baseline(method, dataset, params, cfg, seed)
+    results, ledger = pr.run_frames(dataset, params, cfg, method, seed)
     return _record(method, dataset, results, ledger, cfg, baseline_avg_miou, comm_accounting), results
 
 

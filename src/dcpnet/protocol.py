@@ -4,21 +4,20 @@ One frame runs four phase-barriered rounds: local encoding, request
 decisions, request/relevance exchange, feature grants plus fusion and
 decoding.  Every message is serialized with a fixed little-endian
 framing (magic "DCPM", u8 kind, u16 src, u16 dst, u32 frame, u32 payload
-length) and logged in a ledger from which MBpf is computed.  Frames are
-independent given fixed parameters, so multi-threaded execution over
-frames is bitwise identical to serial execution.
+length) and logged in a ledger from which MBpf is computed.  DCP-Net and
+every baseline run through the same runner; they differ only in who pulls
+whose features and how the received grants are fused.
 """
 
 from __future__ import annotations
 
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
+from . import baselines as bl
 from . import rff, smim
 from .autodiff import Tensor
 from .config import ModelConfig
@@ -141,8 +140,17 @@ class FrameResult:
     ledger: CommLedger
 
 
-def run_frame(sample: SceneSample, params: dict[str, Tensor], cfg: ModelConfig) -> FrameResult:
-    """Distributed inference for one frame, logging every message."""
+def run_frame(
+    sample: SceneSample,
+    params: dict[str, Tensor],
+    cfg: ModelConfig,
+    method: str = "dcp-net",
+    seed: int = 0,
+) -> FrameResult:
+    """Distributed inference for one frame under `method`, logging every message.
+
+    Every method fuses the float32 grant copies its ledger charges.
+    """
     n = sample.n_platforms
     ledger = CommLedger()
     fshape = (cfg.feature_size, cfg.feature_size, cfg.feature_channels)
@@ -150,58 +158,65 @@ def run_frame(sample: SceneSample, params: dict[str, Tensor], cfg: ModelConfig) 
     # phase 1: local encoding
     feats = [encode_view(Tensor(sample.views[i]), params) for i in range(n)]
 
-    # phase 2: self-information decisions
-    states = []
-    for i in range(n):
-        q, k = smim.encode_query_key(feats[i], params)
-        p = smim.self_confidence(q, k).item()
-        st = smim.SmimState(q=q.data, k=k.data, confidence=p)
-        st.requested = smim.decide_request(p, cfg)
-        states.append(st)
-    keys = [Tensor(st.k) for st in states]
+    if method != "dcp-net":
+        # a baseline pulls its regime's partners onto the victim alone
+        states = [smim.SmimState(confidence=1.0) for _ in feats]
+        pulls = {sample.victim: bl.baseline_partners(method, sample, sample.victim, seed)}
+    else:
+        # phase 2: self-information decisions
+        states = []
+        for i in range(n):
+            q, k = smim.encode_query_key(feats[i], params)
+            p = smim.self_confidence(q, k).item()
+            st = smim.SmimState(q=q.data, k=k.data, confidence=p)
+            st.requested = smim.decide_request(p, cfg)
+            states.append(st)
+        keys = [Tensor(st.k) for st in states]
 
-    # phase 3: request broadcast and relevance replies
-    for i in range(n):
-        st = states[i]
-        if not st.requested:
-            continue
-        r = smim.encode_request(feats[i], params)
-        st.r = r.data
-        replies: dict[int, Tensor] = {}
-        for j in range(n):
-            if j == i:
+        # phase 3: request broadcast and relevance replies
+        for i in range(n):
+            st = states[i]
+            if not st.requested:
                 continue
-            req_msg = request_message(i, j, sample.frame, r.data)
-            ledger.log(req_msg)
-            # candidate j evaluates the (float32 wire copy of the) request
-            r_wire = Tensor(decode_feature_payload(req_msg, (cfg.request_dim,)))
-            rel = smim.candidate_relevance(r_wire, keys[j], params["smim.w_alpha"]).item()
-            reply = relevance_message(j, i, sample.frame, rel)
-            ledger.log(reply)
-            (rel_wire,) = struct.unpack("<f", reply.payload)
-            replies[j] = Tensor(float(rel_wire))
-        scores = smim.match_scores(replies)
-        st.scores = {j: s.item() for j, s in scores.items()}
-        st.supporters = smim.select_supporters(st.scores, n, requested=True)
+            r = smim.encode_request(feats[i], params)
+            st.r = r.data
+            replies: dict[int, Tensor] = {}
+            for j in range(n):
+                if j == i:
+                    continue
+                req_msg = request_message(i, j, sample.frame, r.data)
+                ledger.log(req_msg)
+                # candidate j evaluates the (float32 wire copy of the) request
+                r_wire = Tensor(decode_feature_payload(req_msg, (cfg.request_dim,)))
+                rel = smim.candidate_relevance(r_wire, keys[j], params["smim.w_alpha"]).item()
+                reply = relevance_message(j, i, sample.frame, rel)
+                ledger.log(reply)
+                (rel_wire,) = struct.unpack("<f", reply.payload)
+                replies[j] = Tensor(float(rel_wire))
+            scores = smim.match_scores(replies)
+            st.scores = {j: s.item() for j, s in scores.items()}
+            st.supporters = smim.select_supporters(st.scores, n, requested=True)
+        pulls = {i: sorted(st.supporters) for i, st in enumerate(states) if st.requested}
 
     # phase 4: feature grants, fusion, decoding
     predictions = []
     for i in range(n):
-        st = states[i]
-        if st.requested and st.supporters:
-            related: dict[int, Tensor] = {}
-            scores: dict[int, Tensor] = {}
-            for j in sorted(st.supporters):
-                msg = grant_message(j, i, sample.frame, feats[j].data)
-                ledger.log(msg)
-                f_collab = Tensor(decode_feature_payload(msg, fshape))
-                related[j] = rff.compute_related(feats[i], f_collab, params)
-                # dropped candidates are zeroed without renormalizing survivors
-                scores[j] = Tensor(st.scores[j])
-            fused = rff.fuse(feats[i], related, Tensor(st.confidence), scores, requested=True)
+        received: dict[int, Tensor] = {}
+        for j in pulls.get(i, ()):
+            msg = grant_message(j, i, sample.frame, feats[j].data)
+            ledger.log(msg)
+            received[j] = Tensor(decode_feature_payload(msg, fshape))
+        if method == "dcp-net":
+            related = {j: rff.compute_related(feats[i], f, params) for j, f in received.items()}
+            # dropped candidates are zeroed without renormalizing survivors
+            scores = {j: Tensor(states[i].scores[j]) for j in received}
+            fused = rff.fuse(feats[i], related, Tensor(states[i].confidence), scores,
+                             requested=bool(received), strict_gate=cfg.strict_confidence_gate)
+        elif i == sample.victim:
+            pulled = [received.get(j, f) for j, f in enumerate(feats)]
+            fused = bl._fuse_baseline(method, pulled, i, list(received), params)
         else:
-            fused = rff.fuse(feats[i], {}, Tensor(st.confidence), {}, requested=False,
-                             strict_gate=cfg.strict_confidence_gate)
+            fused = feats[i]
         logits = decode_segmentation(fused, params)
         predictions.append(np.argmax(logits.data, axis=2))
     return FrameResult(predictions, states, ledger)
@@ -211,15 +226,11 @@ def run_frames(
     samples: list[SceneSample],
     params: dict[str, Tensor],
     cfg: ModelConfig,
-    workers: int = 1,
+    method: str = "dcp-net",
+    seed: int = 0,
 ) -> tuple[list[FrameResult], CommLedger]:
-    """Run many frames; results and ledger order are independent of the
-    worker count."""
-    if workers <= 1:
-        results = [run_frame(s, params, cfg) for s in samples]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda s: run_frame(s, params, cfg), samples))
+    """Run every frame under `method`; returns the results and their merged ledger."""
+    results = [run_frame(s, params, cfg, method, seed) for s in samples]
     return results, merge_ledgers(results)
 
 

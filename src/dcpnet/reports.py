@@ -107,5 +107,13 @@ def emit_report(records: list[MetricsRecord], dirpath, prediction_dumps=None) ->
 
 
 def load_metrics(path) -> list[MetricsRecord]:
-    raw = json.loads(Path(path).read_text())
-    return [MetricsRecord(**{k: v for k, v in item.items()}) for item in raw]
+    try:
+        raw = json.loads(Path(path).read_text())
+    except ValueError as exc:  # invalid JSON or invalid UTF-8
+        raise FormatError(f"{path} is not JSON: {exc}") from exc
+    if not isinstance(raw, list) or not all(isinstance(item, dict) for item in raw):
+        raise FormatError(f"{path} must hold a list of metric objects")
+    try:
+        return [MetricsRecord(**item) for item in raw]
+    except TypeError as exc:  # a missing or unknown key
+        raise FormatError(f"{path}: {exc}") from exc

@@ -279,6 +279,8 @@ def load_dataset(dirpath) -> list[SceneSample]:
             continue
         frame, mode, seed, victim, twin, degraded = _parse_sample_line(line)
         n = len(degraded)
+        if samples and n != samples[0].n_platforms:
+            raise FormatError(f"frame {frame} has {n} platforms, the first sample has {samples[0].n_platforms}")
         views = [load_tensor(d / f"f{frame:05d}_view{i}.dcpt") for i in range(n)]
         masks = [load_tensor(d / f"f{frame:05d}_mask{i}.dcpt").astype(np.int64) for i in range(n)]
         samples.append(

@@ -6,6 +6,7 @@ shared between criteria 7-9.
 
 import struct
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -130,8 +131,10 @@ def test_c6_threaded_inference_is_bitwise_deterministic():
     spec = small_spec()
     params = harness.init_dcp_params(cfg, seed=11)
     samples = scenes.make_dataset(spec, "homo-cis", 100, seed=11, n_platforms=3)
-    serial, serial_ledger = pr.run_frames(samples, params, cfg, workers=1)
-    threaded, threaded_ledger = pr.run_frames(samples, params, cfg, workers=8)
+    serial, serial_ledger = pr.run_frames(samples, params, cfg)
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        threaded = list(pool.map(lambda s: pr.run_frame(s, params, cfg), samples))
+    threaded_ledger = pr.merge_ledgers(threaded)
     assert serial_ledger.entries == threaded_ledger.entries
     for a, b in zip(serial, threaded):
         for pa, pb in zip(a.predictions, b.predictions):

@@ -6,9 +6,7 @@ import pytest
 
 from dcpnet import cli
 
-SMALL = [
-    "--platforms", "2", "--view-size", "16", "--classes", "3",
-]
+SMALL = ["--classes", "3"]
 
 
 def test_gen_train_eval_sweep_report_pipeline(tmp_path, capsys):
@@ -101,7 +99,7 @@ def test_checkpoint_must_fit_the_model_flags(tmp_path, capsys):
                    "--request-dim", "4", *SMALL])
     assert rc == 0
     capsys.readouterr()
-    wrong_classes = ["--platforms", "2", "--view-size", "16", "--classes", "5", "--request-dim", "4"]
+    wrong_classes = ["--classes", "5", "--request-dim", "4"]
     rc = cli.main(["eval", "--dataset", str(ds), "--ckpt", str(ckpt),
                    "--out", str(tmp_path / "r"), *wrong_classes])
     assert rc == 1
@@ -137,3 +135,60 @@ def test_tiny_experiments_write_reports(tmp_path, capsys):
         assert len(dumps) == (6 if mode == "homo-cis" else 0)
     printed = capsys.readouterr().out
     assert "clean-twin selection accuracy" in printed and "report written to" in printed
+
+
+def _gen_small(out, samples, platforms="2"):
+    return cli.main([
+        "gen", "--mode", "homo-cis", "--samples", str(samples), "--seed", "4", "--out", str(out),
+        "--world-size", "32", "--view-size", "16", "--classes", "3", "--platforms", platforms,
+    ])
+
+
+def test_model_shape_comes_from_the_dataset(tmp_path, capsys):
+    ds = tmp_path / "ds"
+    assert _gen_small(ds, 2, platforms="3") == 0
+    ckpt = tmp_path / "ckpt"
+    assert cli.main(["train", "--dataset", str(ds), "--ckpt", str(ckpt), "--epochs", "1", *SMALL]) == 0
+    out = tmp_path / "r"
+    assert cli.main(["eval", "--dataset", str(ds), "--ckpt", str(ckpt), "--out", str(out), *SMALL]) == 0
+    [record] = json.loads((out / "metrics.json").read_text())
+    assert len(record["per_platform_miou"]) == 3
+    train = ["train", "--dataset", str(ds), "--ckpt", str(ckpt)]
+    for argv in (train, ["eval", "--dataset", str(ds), "--ckpt", str(ckpt), "--out", str(out)],
+                 ["sweep", "--dataset", str(ds), "--ckpt", str(ckpt), "--out", str(out)]):
+        cli.build_parser().parse_args(argv)
+        for flag in (["--platforms", "4"], ["--view-size", "32"]):
+            with pytest.raises(SystemExit):
+                cli.build_parser().parse_args(argv + flag)
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(train + ["--request-threshold", "0.5"])
+    capsys.readouterr()
+
+
+def test_empty_evaluation_set_is_a_typed_error(tmp_path, capsys):
+    ds, empty, ckpt = tmp_path / "ds", tmp_path / "empty", tmp_path / "ckpt"
+    assert _gen_small(ds, 2) == 0 and _gen_small(empty, 0) == 0
+    assert cli.main(["train", "--dataset", str(ds), "--ckpt", str(ckpt), "--epochs", "1", *SMALL]) == 0
+    capsys.readouterr()
+    for cmd in ("eval", "sweep"):
+        rc = cli.main([cmd, "--dataset", str(empty), "--ckpt", str(ckpt), "--out", str(tmp_path / "r"), *SMALL])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("{", id="invalid-json"),
+    pytest.param('[{"method": 1}]', id="missing-keys"),
+    pytest.param('{"method": "m"}', id="not-a-list"),
+    pytest.param("[1]", id="item-not-object"),
+    pytest.param('[{"method": "m", "miou_noisy": 0, "miou_normal": 0, "miou_avg": 0, '
+                 '"per_platform_miou": [], "comm_cost_mbpf": 0, "speed": 1}]', id="unknown-key"),
+])
+def test_malformed_metrics_is_a_typed_error(tmp_path, capsys, text):
+    metrics = tmp_path / "metrics.json"
+    metrics.write_text(text)
+    rc = cli.main(["report", "--metrics", str(metrics), "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -112,7 +112,7 @@ def test_baseline_forwards_run_and_train():
         params = bl.init_baseline_params(kind, cfg, 0)
         curve = training.train(data, params, cfg, tcfg, forward_fn=bl.make_baseline_forward(kind, 0))
         assert all(np.isfinite(v) for v in curve.losses)
-        results, ledger = bl.run_baseline(kind, data, params, cfg)
+        results, ledger = pr.run_frames(data, params, cfg, kind)
         assert len(results) == 4
         if kind == "no-interaction":
             assert ledger.total_wire_bytes == 0
@@ -126,8 +126,15 @@ def test_baseline_grant_counts_follow_regime():
     data = scenes.make_dataset(spec, "homo-cis", 2, seed=0, n_platforms=3)
     for kind, per_frame in (("concat-all", 2), ("aux-view-attention", 2), ("random-selection", 1)):
         params = bl.init_baseline_params(kind, cfg, 0)
-        _, ledger = bl.run_baseline(kind, data, params, cfg)
+        _, ledger = pr.run_frames(data, params, cfg, kind)
         assert ledger.counts()["grant"] == per_frame * len(data)
+
+
+def test_empty_evaluation_set_is_rejected():
+    cfg = small_cfg()
+    for method in ("dcp-net",) + bl.BASELINES:
+        with pytest.raises(InputError, match="empty"):
+            harness.evaluate(method, [], harness.init_params(method, cfg, 0), cfg)
 
 
 def test_unknown_baseline_rejected():
@@ -173,15 +180,18 @@ def test_random_selection_fuses_the_granted_partner():
     forward = bl.make_baseline_forward("random-selection", 3)
     distinguishable = 0
     for sample in data:
-        res = bl.run_baseline_frame("random-selection", sample, params, cfg, seed=3)
+        res = pr.run_frame(sample, params, cfg, "random-selection", seed=3)
         [(_, src, dst, kind, _)] = res.ledger.entries
         assert (dst, kind) == (sample.victim, pr.KIND_GRANT)
         feats = [encode_view(Tensor(v), params) for v in sample.views]
+        # inference fuses the float32 copy the grant carries
+        granted = Tensor(feats[src].data.astype(np.float32).astype(np.float64))
+        fused = decode_segmentation(ad.add(feats[sample.victim], granted), params)
+        assert np.array_equal(res.predictions[sample.victim], np.argmax(fused.data, axis=2))
         logits = {
             j: decode_segmentation(ad.add(feats[sample.victim], feats[j]), params)
             for j in range(1, 4)
         }
-        assert np.array_equal(res.predictions[sample.victim], np.argmax(logits[src].data, axis=2))
         # training fuses the same partner
         expected = ad.cross_entropy(logits[src], sample.masks[sample.victim]).item()
         assert forward(sample, params, cfg, "victim_only").item() == expected

@@ -133,6 +133,15 @@ def test_dataset_round_trip_and_manifest_checks(tmp_path):
         scenes.load_dataset(tmp_path / "missing")
 
 
+def test_manifest_platform_counts_must_agree(tmp_path):
+    spec = small_spec()
+    mixed = [scenes.make_sample(spec, "homo-cis", 1, 0, n_platforms=2),
+             scenes.make_sample(spec, "homo-cis", 1, 1, n_platforms=3)]
+    scenes.save_dataset(mixed, tmp_path / "ds")
+    with pytest.raises(FormatError, match="platforms"):
+        scenes.load_dataset(tmp_path / "ds")
+
+
 def _one_sample_set(tmp_path):
     samples = scenes.make_dataset(small_spec(), "homo-cis", 1, seed=1, n_platforms=2)
     out = tmp_path / "ds"
