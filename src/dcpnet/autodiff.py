@@ -48,14 +48,16 @@ class Tensor:
 
     Leaf tensors (parameters, inputs) have no parents.  Interior nodes
     carry a `_backward` closure that adds d(loss)/d(parent) into each
-    parent's `.grad` given d(loss)/d(self).
+    parent's `.grad` given d(loss)/d(self).  A tensor built with
+    `requires_grad=False` (an input image) keeps `.grad` None.
     """
 
-    __slots__ = ("data", "grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, parents=(), backward_fn=None):
+    def __init__(self, data, parents=(), backward_fn=None, requires_grad=True):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
+        self.requires_grad = requires_grad
         self._parents = tuple(parents)
         self._backward = backward_fn
 
@@ -73,9 +75,16 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def accumulate(self, g: np.ndarray) -> None:
+        if not self.requires_grad:
+            return
+        if g.shape != self.data.shape:
+            raise ShapeError(f"gradient of shape {g.shape} for a tensor of shape {self.shape}")
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # an owned copy of `g` (which may be a view, transpose or broadcast),
+            # C-ordered so that later products of the gradient take the same BLAS path
+            self.grad = np.array(g, dtype=np.float64, order="C")
+        else:
+            self.grad += g
 
     def __repr__(self):
         return f"Tensor(shape={list(self.shape)})"
@@ -315,15 +324,18 @@ def conv1x1(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
+    """Patch matrix (ho*wo) x (kh*kw*c): one strided view over the padded
+    input, copied out by a single reshape."""
     h, w, c = x.shape
     ho = (h + 2 * pad - kh) // stride + 1
     wo = (w + 2 * pad - kw) // stride + 1
-    xp = np.pad(x, ((pad, pad), (pad, pad), (0, 0)))
-    cols = np.empty((ho, wo, kh, kw, c), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j, :] = xp[i : i + stride * ho : stride, j : j + stride * wo : stride, :]
-    return cols.reshape(ho * wo, kh * kw * c), ho, wo
+    xp = np.zeros((h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
+    xp[pad : pad + h, pad : pad + w, :] = x
+    s0, s1, s2 = xp.strides
+    taps = np.lib.stride_tricks.as_strided(
+        xp, (ho, wo, kh, kw, c), (stride * s0, stride * s1, s0, s1, s2), writeable=False
+    )
+    return taps.reshape(ho * wo, kh * kw * c), ho, wo
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
@@ -341,6 +353,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
         gf = g.reshape(ho * wo, cout)
         w.accumulate((cols.T @ gf).reshape(w.shape))
         b.accumulate(gf.sum(axis=0))
+        if not x.requires_grad:
+            return
         # scatter-add of d(cols) back onto the padded input
         dcols = (gf @ wf.T).reshape(ho, wo, kh, kw, cin)
         h, wd, _ = x.shape
@@ -381,7 +395,12 @@ def cross_entropy(logits: Tensor, target: np.ndarray) -> Tensor:
         raise ShapeError(f"cross_entropy: target shape {target.shape} vs logits {logits.shape}")
     if target.min() < 0 or target.max() >= k:
         raise InputError(f"cross_entropy: class ids outside [0, {k})")
-    z = logits.data - np.max(logits.data, axis=2, keepdims=True)
+    # a running max over class slices: exact, and far cheaper than np.max
+    # along a short trailing axis
+    top = logits.data[:, :, 0].copy()
+    for c in range(1, k):
+        np.maximum(top, logits.data[:, :, c], out=top)
+    z = logits.data - top[:, :, None]
     lse = np.log(np.sum(np.exp(z), axis=2))
     picked = np.take_along_axis(z, target[:, :, None], axis=2)[:, :, 0]
     out = Tensor(np.mean(lse - picked).reshape(()), (logits,))

@@ -150,6 +150,10 @@ def run_experiment(
     """
     if mode not in EXPERIMENT_METHODS:
         raise InputError(f"unknown experiment {mode!r}, expected one of {tuple(EXPERIMENT_METHODS)}")
+    if train_samples < 1 or val_samples < 1:
+        raise InputError(
+            f"an experiment needs samples to train and validate on, got {train_samples} and {val_samples}"
+        )
     cfg = ModelConfig()
     spec = WorldSpec() if mode == "homo-cis" else WorldSpec(world_size=80, min_view_separation=0)
     train_set = scenes.make_dataset(spec, mode, train_samples, seed=seed, noise_strength=noise_strength)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -106,6 +107,19 @@ def emit_report(records: list[MetricsRecord], dirpath, prediction_dumps=None) ->
             write_ppm(d / f"{stem}.ppm", arr)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# the value check for each annotation a MetricsRecord field carries
+_FIELD_CHECKS = {
+    "str": lambda v: isinstance(v, str),
+    "float": _is_number,
+    "float | None": lambda v: v is None or _is_number(v),
+    "list[float]": lambda v: isinstance(v, list) and all(map(_is_number, v)),
+}
+
+
 def load_metrics(path) -> list[MetricsRecord]:
     try:
         raw = json.loads(Path(path).read_text())
@@ -114,6 +128,12 @@ def load_metrics(path) -> list[MetricsRecord]:
     if not isinstance(raw, list) or not all(isinstance(item, dict) for item in raw):
         raise FormatError(f"{path} must hold a list of metric objects")
     try:
-        return [MetricsRecord(**item) for item in raw]
+        records = [MetricsRecord(**item) for item in raw]
     except TypeError as exc:  # a missing or unknown key
         raise FormatError(f"{path}: {exc}") from exc
+    for n, record in enumerate(records):
+        for f in dataclasses.fields(MetricsRecord):
+            value = getattr(record, f.name)
+            if not _FIELD_CHECKS[f.type](value):
+                raise FormatError(f"{path}: record {n} field {f.name!r} must be {f.type}, got {value!r}")
+    return records

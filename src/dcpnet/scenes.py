@@ -283,6 +283,11 @@ def load_dataset(dirpath) -> list[SceneSample]:
             raise FormatError(f"frame {frame} has {n} platforms, the first sample has {samples[0].n_platforms}")
         views = [load_tensor(d / f"f{frame:05d}_view{i}.dcpt") for i in range(n)]
         masks = [load_tensor(d / f"f{frame:05d}_mask{i}.dcpt").astype(np.int64) for i in range(n)]
+        if samples:
+            shapes = [a.shape for a in views + masks]
+            first = [a.shape for a in samples[0].views + samples[0].masks]
+            if shapes != first:
+                raise FormatError(f"frame {frame} has view and mask shapes {shapes}, the first has {first}")
         samples.append(
             SceneSample(views, masks, degraded, victim, None if twin < 0 else twin, mode, seed, frame)
         )

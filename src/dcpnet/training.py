@@ -86,7 +86,7 @@ def supervised_loss(sample: SceneSample, params: dict[str, Tensor], supervision:
     differs between DCP-Net and the baselines.
     """
     n = sample.n_platforms
-    feats = [encode_view(Tensor(sample.views[i]), params) for i in range(n)]
+    feats = [encode_view(Tensor(sample.views[i], requires_grad=False), params) for i in range(n)]
     fuse = fusion(feats)
 
     if supervision == "victim_only":

@@ -143,3 +143,78 @@ def test_grad_check_rejects_bad_eps():
     x = leaf(2)
     with pytest.raises(InputError):
         grad_check(lambda p: ad.sum_all(p[0]), [x], eps=0.0)
+
+
+def _im2col_loop(x, kh, kw, stride, pad):
+    """The kh*kw slice-copy im2col that the strided gather replaced."""
+    h, w, c = x.shape
+    ho = (h + 2 * pad - kh) // stride + 1
+    wo = (w + 2 * pad - kw) // stride + 1
+    xp = np.pad(x, ((pad, pad), (pad, pad), (0, 0)))
+    cols = np.empty((ho, wo, kh, kw, c), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j, :] = xp[i : i + stride * ho : stride, j : j + stride * wo : stride, :]
+    return cols.reshape(ho * wo, kh * kw * c), ho, wo
+
+
+@pytest.mark.parametrize("c", [3, 8, 16])
+@pytest.mark.parametrize("pad", [0, 1])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_im2col_matches_the_slice_loop(stride, pad, c):
+    x = RNG.normal(size=(9, 8, c))
+    cols, ho, wo = ad._im2col(x, 3, 3, stride, pad)
+    ref, ref_ho, ref_wo = _im2col_loop(x, 3, 3, stride, pad)
+    assert (ho, wo) == (ref_ho, ref_wo)
+    assert np.array_equal(cols, ref)
+    assert cols.flags.c_contiguous
+
+
+def _cross_entropy_reference(logits, target):
+    """Loss and logit gradient with the class max taken by np.max."""
+    h, w, _ = logits.shape
+    z = logits - np.max(logits, axis=2, keepdims=True)
+    lse = np.log(np.sum(np.exp(z), axis=2))
+    picked = np.take_along_axis(z, target[:, :, None], axis=2)[:, :, 0]
+    onehot = np.zeros_like(z)
+    np.put_along_axis(onehot, target[:, :, None], 1.0, axis=2)
+    return np.mean(lse - picked), (np.exp(z - lse[:, :, None]) - onehot) / (h * w)
+
+
+@pytest.mark.parametrize("k", [3, 6, 9])
+def test_cross_entropy_matches_the_np_max_reference(k):
+    target = RNG.integers(0, k, size=(8, 8))
+    # small integers tie often: several classes share the max in most pixels
+    for data in (10 * RNG.normal(size=(8, 8, k)), RNG.integers(-2, 3, size=(8, 8, k)).astype(np.float64)):
+        logits = Tensor(data)
+        loss = ad.cross_entropy(logits, target)
+        backward(loss)
+        ref_loss, ref_grad = _cross_entropy_reference(data, target)
+        assert loss.item() == ref_loss
+        assert np.array_equal(logits.grad, ref_grad)
+
+
+def test_input_without_grad_keeps_none_and_leaves_weight_grads_equal():
+    image = RNG.normal(size=(8, 8, 3))
+    w, b, mix = leaf(3, 3, 3, 4), leaf(4), leaf(4, 4, 4)
+    grads = {}
+    for requires_grad in (True, False):
+        x = Tensor(image, requires_grad=requires_grad)
+        w.grad = b.grad = None
+        conv = ad.sum_all(ad.mul(ad.conv2d(x, w, b, stride=2, pad=1), mix))
+        backward(ad.add(conv, ad.sum_all(ad.mul(x, x))))
+        assert (x.grad is None) == (not requires_grad)
+        grads[requires_grad] = (w.grad, b.grad)
+    assert all(np.array_equal(a, b) for a, b in zip(grads[True], grads[False]))
+
+
+def test_first_gradient_is_an_owned_c_ordered_copy():
+    x = leaf(3, 5)
+    g = RNG.normal(size=(5, 3))
+    x.accumulate(g.T)
+    assert x.grad.flags.c_contiguous and not np.shares_memory(x.grad, g)
+    first = x.grad.copy()
+    g[...] = 0.0
+    assert np.array_equal(x.grad, first)
+    with pytest.raises(ShapeError):
+        x.accumulate(g)

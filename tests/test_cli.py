@@ -192,3 +192,29 @@ def test_malformed_metrics_is_a_typed_error(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+VALID_RECORD = {"method": "m", "miou_noisy": 0.5, "miou_normal": 1, "miou_avg": 0.75,
+                "per_platform_miou": [0.5, 1], "comm_cost_mbpf": 0, "ce": None,
+                "detect_acc": None, "select_acc": 0.5}
+
+
+@pytest.mark.parametrize("field,value", [
+    pytest.param("miou_noisy", "x", id="string-float"),
+    pytest.param("miou_avg", True, id="bool-float"),
+    pytest.param("comm_cost_mbpf", None, id="null-float"),
+    pytest.param("ce", "1.0", id="string-optional"),
+    pytest.param("per_platform_miou", 0.5, id="number-list"),
+    pytest.param("per_platform_miou", [0.5, "x"], id="string-in-list"),
+    pytest.param("method", 3, id="number-method"),
+])
+def test_metrics_value_types_are_checked(tmp_path, capsys, field, value):
+    metrics = tmp_path / "metrics.json"
+    metrics.write_text(json.dumps([VALID_RECORD]))
+    assert cli.main(["report", "--metrics", str(metrics), "--out", str(tmp_path / "ok")]) == 0
+    metrics.write_text(json.dumps([{**VALID_RECORD, field: value}]))
+    capsys.readouterr()
+    rc = cli.main(["report", "--metrics", str(metrics), "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and repr(field) in err and "Traceback" not in err

@@ -137,6 +137,17 @@ def test_empty_evaluation_set_is_rejected():
             harness.evaluate(method, [], harness.init_params(method, cfg, 0), cfg)
 
 
+@pytest.mark.parametrize("train_samples,val_samples", [(0, 2), (2, 0)])
+def test_experiment_rejects_empty_sets_before_training(monkeypatch, train_samples, val_samples):
+    def reached(*args, **kwargs):
+        raise AssertionError("an empty experiment generated data or trained a model")
+
+    monkeypatch.setattr(harness.scenes, "make_dataset", reached)
+    monkeypatch.setattr(harness, "train_method", reached)
+    with pytest.raises(InputError, match="samples"):
+        harness.run_experiment("homo-pis", train_samples=train_samples, val_samples=val_samples)
+
+
 def test_unknown_baseline_rejected():
     with pytest.raises(InputError):
         bl.init_baseline_params("telepathy", small_cfg(), 0)

@@ -142,6 +142,14 @@ def test_manifest_platform_counts_must_agree(tmp_path):
         scenes.load_dataset(tmp_path / "ds")
 
 
+def test_manifest_view_sizes_must_agree(tmp_path):
+    mixed = [scenes.make_sample(small_spec(), "homo-cis", 0, 1, n_platforms=2),
+             scenes.make_sample(small_spec(view_size=32), "homo-cis", 1, 1, n_platforms=2)]
+    scenes.save_dataset(mixed, tmp_path / "ds")
+    with pytest.raises(FormatError, match="shapes"):
+        scenes.load_dataset(tmp_path / "ds")
+
+
 def _one_sample_set(tmp_path):
     samples = scenes.make_dataset(small_spec(), "homo-cis", 1, seed=1, n_platforms=2)
     out = tmp_path / "ds"
