@@ -2,10 +2,11 @@
 
 A deliberately small define-by-run engine: every forward op allocates a
 new `Tensor` node holding the float64 result and a closure that routes
-the incoming gradient to its parents.  The op catalogue is fixed to what
-the collaborative-perception network needs (matmul, 1x1 / strided 3x3
-convolution, sigmoid, relu, softmax, add, scale, concat, reshape,
-pooling, nearest upsampling, cross-entropy).  All backward passes are
+the incoming gradient to its parents; inside `no_grad()` an op keeps
+only the result, so inference builds no graph.  The op catalogue is
+fixed to what the collaborative-perception network needs (matmul,
+1x1 / strided 3x3 convolution, sigmoid, relu, softmax, add, scale,
+concat, reshape, pooling, nearest upsampling, cross-entropy).  All backward passes are
 validated against central finite differences (see `grad_check`).
 
 Compute is float64 throughout; float32 appears only at the wire /
@@ -14,12 +15,17 @@ file-format boundary.
 
 from __future__ import annotations
 
+import math
+import threading
+from contextlib import contextmanager
+
 import numpy as np
 
 from .errors import ContractError, InputError, ShapeError
 
 __all__ = [
     "Tensor",
+    "no_grad",
     "add",
     "mul",
     "affine",
@@ -43,13 +49,35 @@ __all__ = [
 ]
 
 
+class _GradMode(threading.local):
+    enabled = True
+
+
+# per thread, so that one thread's inference never switches off another's training
+_grad_mode = _GradMode()
+
+
+@contextmanager
+def no_grad():
+    """Ops on this thread build no graph inside the block (also usable as
+    a decorator); the previous mode is restored on exit, even on error."""
+    prev = _grad_mode.enabled
+    _grad_mode.enabled = False
+    try:
+        yield
+    finally:
+        _grad_mode.enabled = prev
+
+
 class Tensor:
     """A float64 array plus its place in the computation graph.
 
     Leaf tensors (parameters, inputs) have no parents.  Interior nodes
     carry a `_backward` closure that adds d(loss)/d(parent) into each
     parent's `.grad` given d(loss)/d(self).  A tensor built with
-    `requires_grad=False` (an input image) keeps `.grad` None.
+    `requires_grad=False` (an input image) keeps `.grad` None.  An op
+    result built under `no_grad()` drops its parents and closure and
+    does not require a gradient.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -57,6 +85,8 @@ class Tensor:
     def __init__(self, data, parents=(), backward_fn=None, requires_grad=True):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
+        if parents and not _grad_mode.enabled:
+            parents, backward_fn, requires_grad = (), None, False
         self.requires_grad = requires_grad
         self._parents = tuple(parents)
         self._backward = backward_fn
@@ -102,39 +132,33 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     if a.shape != b.shape:
         raise ShapeError(f"add: shapes {a.shape} vs {b.shape}")
-    out = Tensor(a.data + b.data, (a, b))
 
     def bw(g):
         a.accumulate(g)
         b.accumulate(g)
 
-    out._backward = bw
-    return out
+    return Tensor(a.data + b.data, (a, b), bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     if a.shape != b.shape:
         raise ShapeError(f"mul: shapes {a.shape} vs {b.shape}")
-    out = Tensor(a.data * b.data, (a, b))
 
     def bw(g):
         a.accumulate(g * b.data)
         b.accumulate(g * a.data)
 
-    out._backward = bw
-    return out
+    return Tensor(a.data * b.data, (a, b), bw)
 
 
 def affine(x: Tensor, scale: float, shift: float) -> Tensor:
     """scale * x + shift with constant coefficients."""
-    out = Tensor(scale * x.data + shift, (x,))
 
     def bw(g):
         x.accumulate(scale * g)
 
-    out._backward = bw
-    return out
+    return Tensor(scale * x.data + shift, (x,), bw)
 
 
 def scale_by(x: Tensor, s: Tensor) -> Tensor:
@@ -142,24 +166,19 @@ def scale_by(x: Tensor, s: Tensor) -> Tensor:
     if s.size != 1:
         raise ShapeError(f"scale_by: scale has shape {s.shape}, expected scalar")
     sv = float(s.data.reshape(()))
-    out = Tensor(x.data * sv, (x, s))
 
     def bw(g):
         x.accumulate(g * sv)
         s.accumulate(np.sum(g * x.data).reshape(s.shape))
 
-    out._backward = bw
-    return out
+    return Tensor(x.data * sv, (x, s), bw)
 
 
 def sum_all(x: Tensor) -> Tensor:
-    out = Tensor(np.sum(x.data).reshape(()), (x,))
-
     def bw(g):
         x.accumulate(np.full_like(x.data, float(g)))
 
-    out._backward = bw
-    return out
+    return Tensor(np.sum(x.data).reshape(()), (x,), bw)
 
 
 def mean_over(x: Tensor, axes: tuple[int, ...]) -> Tensor:
@@ -168,70 +187,61 @@ def mean_over(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     count = 1
     for ax in axes:
         count *= x.shape[ax]
-    out = Tensor(np.mean(x.data, axis=axes), (x,))
 
     def bw(g):
         x.accumulate(np.broadcast_to(np.expand_dims(g, axes), x.shape) / count)
 
-    out._backward = bw
-    return out
+    return Tensor(np.mean(x.data, axis=axes), (x,), bw)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape)) != x.size:
+    if math.prod(shape) != x.size:
         raise ShapeError(f"reshape: {x.shape} -> {shape}")
-    out = Tensor(x.data.reshape(shape), (x,))
 
     def bw(g):
         x.accumulate(g.reshape(x.shape))
 
-    out._backward = bw
-    return out
+    return Tensor(x.data.reshape(shape), (x,), bw)
 
 
 def concat(parts: list[Tensor], axis: int) -> Tensor:
     if not parts:
         raise ShapeError("concat: empty input list")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=axis), tuple(parts))
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
 
     def bw(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+        lo = 0
+        for p in parts:
+            hi = lo + p.shape[axis]
             idx = [slice(None)] * g.ndim
             idx[axis] = slice(lo, hi)
             p.accumulate(g[tuple(idx)])
+            lo = hi
 
-    out._backward = bw
-    return out
+    return Tensor(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), bw)
 
 
 def take1d(x: Tensor, i: int) -> Tensor:
     """Scalar view of element i of a 1-D tensor (stays in the graph)."""
     if x.data.ndim != 1:
         raise ShapeError(f"take1d: got shape {x.shape}")
-    out = Tensor(x.data[i].reshape(()), (x,))
 
     def bw(g):
         full = np.zeros_like(x.data)
         full[i] = float(g)
         x.accumulate(full)
 
-    out._backward = bw
-    return out
+    return Tensor(x.data[i].reshape(()), (x,), bw)
 
 
 def transpose2d(x: Tensor) -> Tensor:
     if x.data.ndim != 2:
         raise ShapeError(f"transpose2d: got shape {x.shape}")
-    out = Tensor(x.data.T, (x,))
 
     def bw(g):
         x.accumulate(g.T)
 
-    out._backward = bw
-    return out
+    return Tensor(x.data.T, (x,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -240,13 +250,11 @@ def transpose2d(x: Tensor) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
-    out = Tensor(np.where(mask, x.data, 0.0), (x,))
 
     def bw(g):
         x.accumulate(g * mask)
 
-    out._backward = bw
-    return out
+    return Tensor(np.where(mask, x.data, 0.0), (x,), bw)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -256,13 +264,11 @@ def sigmoid(x: Tensor) -> Tensor:
     s[pos] = 1.0 / (1.0 + np.exp(-x.data[pos]))
     ex = np.exp(x.data[~pos])
     s[~pos] = ex / (1.0 + ex)
-    out = Tensor(s, (x,))
 
     def bw(g):
         x.accumulate(g * s * (1.0 - s))
 
-    out._backward = bw
-    return out
+    return Tensor(s, (x,), bw)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -272,14 +278,12 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     shifted = x.data - np.max(x.data, axis=ax, keepdims=True)
     e = np.exp(shifted)
     p = e / np.sum(e, axis=ax, keepdims=True)
-    out = Tensor(p, (x,))
 
     def bw(g):
         inner = np.sum(g * p, axis=ax, keepdims=True)
         x.accumulate(p * (g - inner))
 
-    out._backward = bw
-    return out
+    return Tensor(p, (x,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -291,14 +295,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: need 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dims disagree, {a.shape} x {b.shape}")
-    out = Tensor(a.data @ b.data, (a, b))
 
     def bw(g):
         a.accumulate(g @ b.data.T)
         b.accumulate(a.data.T @ g)
 
-    out._backward = bw
-    return out
+    return Tensor(a.data @ b.data, (a, b), bw)
 
 
 def conv1x1(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -310,8 +312,6 @@ def conv1x1(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     cin, cout = w.shape
     if c != cin or b.shape != (cout,):
         raise ShapeError(f"conv1x1: x {x.shape}, w {w.shape}, b {b.shape}")
-    out = Tensor(x.data.reshape(h * wd, c) @ w.data + b.data, (x, w, b))
-    out.data = out.data.reshape(h, wd, cout)
 
     def bw(g):
         gf = g.reshape(h * wd, cout)
@@ -319,8 +319,8 @@ def conv1x1(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         w.accumulate(x.data.reshape(h * wd, c).T @ gf)
         b.accumulate(gf.sum(axis=0))
 
-    out._backward = bw
-    return out
+    flat = x.data.reshape(h * wd, c) @ w.data + b.data
+    return Tensor(flat.reshape(h, wd, cout), (x, w, b), bw)
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
@@ -347,7 +347,6 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
         raise ShapeError(f"conv2d: x {x.shape}, w {w.shape}, b {b.shape}")
     cols, ho, wo = _im2col(x.data, kh, kw, stride, pad)
     wf = w.data.reshape(kh * kw * cin, cout)
-    out = Tensor((cols @ wf + b.data).reshape(ho, wo, cout), (x, w, b))
 
     def bw(g):
         gf = g.reshape(ho * wo, cout)
@@ -364,22 +363,19 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
                 dxp[i : i + stride * ho : stride, j : j + stride * wo : stride, :] += dcols[:, :, i, j, :]
         x.accumulate(dxp[pad : pad + h, pad : pad + wd, :] if pad else dxp)
 
-    out._backward = bw
-    return out
+    return Tensor((cols @ wf + b.data).reshape(ho, wo, cout), (x, w, b), bw)
 
 
 def upsample_nearest(x: Tensor, factor: int) -> Tensor:
     """Replicate each pixel of an H x W x C grid into a factor x factor block."""
     if x.data.ndim != 3:
         raise ShapeError(f"upsample_nearest: got shape {x.shape}")
-    out = Tensor(np.repeat(np.repeat(x.data, factor, axis=0), factor, axis=1), (x,))
     h, w, c = x.shape
 
     def bw(g):
         x.accumulate(g.reshape(h, factor, w, factor, c).sum(axis=(1, 3)))
 
-    out._backward = bw
-    return out
+    return Tensor(np.repeat(np.repeat(x.data, factor, axis=0), factor, axis=1), (x,), bw)
 
 
 def cross_entropy(logits: Tensor, target: np.ndarray) -> Tensor:
@@ -403,7 +399,6 @@ def cross_entropy(logits: Tensor, target: np.ndarray) -> Tensor:
     z = logits.data - top[:, :, None]
     lse = np.log(np.sum(np.exp(z), axis=2))
     picked = np.take_along_axis(z, target[:, :, None], axis=2)[:, :, 0]
-    out = Tensor(np.mean(lse - picked).reshape(()), (logits,))
 
     def bw(g):
         p = np.exp(z - lse[:, :, None])
@@ -411,8 +406,7 @@ def cross_entropy(logits: Tensor, target: np.ndarray) -> Tensor:
         np.put_along_axis(onehot, target[:, :, None], 1.0, axis=2)
         logits.accumulate(float(g) * (p - onehot) / (h * w))
 
-    out._backward = bw
-    return out
+    return Tensor(np.mean(lse - picked).reshape(()), (logits,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -442,11 +436,14 @@ def _toposort(root: Tensor) -> list[Tensor]:
 def backward(loss: Tensor) -> None:
     """Reverse-topological gradient accumulation from a scalar loss.
 
-    Calling backward twice on the same loss node raises ContractError;
-    rebuild the graph per forward pass instead.
+    Calling backward twice on the same loss node, or on a loss that does
+    not require a gradient (one built under `no_grad()`), raises
+    ContractError; rebuild the graph per forward pass instead.
     """
     if loss.size != 1:
         raise ContractError(f"backward: loss has shape {loss.shape}, expected scalar")
+    if not loss.requires_grad:
+        raise ContractError("backward: the loss does not require a gradient (built under no_grad?)")
     if getattr(loss, "grad", None) is not None:
         raise ContractError("backward: called twice on the same loss node")
     order = _toposort(loss)

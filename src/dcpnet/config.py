@@ -21,7 +21,6 @@ class ModelConfig:
     embed_channels: int = 8      # C' for the cross-attention embeddings
     request_threshold: float = 0.8
     attend_coords: bool = True   # append normalized grid coordinates to the attention embeddings
-    strict_confidence_gate: bool = False  # scale local features by confidence even when no request is made
 
     def __post_init__(self):
         if self.n_platforms < 2:

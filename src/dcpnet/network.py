@@ -3,7 +3,8 @@
 The encoder is a small stride-8 CNN: three stride-2 3x3 conv + relu
 stages followed by a 1x1 projection to the exchange channel count.  The
 decoder is a 1x1 conv to class logits plus 8x nearest-neighbor
-upsampling back to image resolution.
+upsampling back to image resolution.  Inference takes the class mask
+before upsampling, which gives the same mask without upsampling logits.
 """
 
 from __future__ import annotations
@@ -59,9 +60,24 @@ def encode_view(image: Tensor, params: dict[str, Tensor]) -> Tensor:
     return ad.conv1x1(x, params["enc.proj.w"], params["enc.proj.b"])
 
 
-def decode_segmentation(fused: Tensor, params: dict[str, Tensor]) -> Tensor:
-    """Feature grid -> per-pixel class logits at image resolution."""
+def _head(fused: Tensor, params: dict[str, Tensor]) -> Tensor:
+    """Feature grid -> class logits at feature resolution."""
     if fused.data.ndim != 3:
         raise ShapeError(f"decoder expects H x W x C features, got {fused.shape}")
-    logits = ad.conv1x1(fused, params["dec.head.w"], params["dec.head.b"])
-    return ad.upsample_nearest(logits, 8)
+    return ad.conv1x1(fused, params["dec.head.w"], params["dec.head.b"])
+
+
+def decode_segmentation(fused: Tensor, params: dict[str, Tensor]) -> Tensor:
+    """Feature grid -> per-pixel class logits at image resolution."""
+    return ad.upsample_nearest(_head(fused, params), 8)
+
+
+def predict_segmentation(fused: Tensor, params: dict[str, Tensor]) -> np.ndarray:
+    """Feature grid -> H x W class mask at image resolution.
+
+    Equal to `np.argmax(decode_segmentation(fused, params).data, axis=2)`:
+    nearest upsampling copies each logit vector unchanged, and both
+    argmaxes pick the first maximum on ties.
+    """
+    mask = np.argmax(_head(fused, params).data, axis=2)
+    return mask.repeat(8, 0).repeat(8, 1)

@@ -11,6 +11,7 @@ whose features and how the received grants are fused.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,10 +20,10 @@ import numpy as np
 
 from . import baselines as bl
 from . import rff, smim
-from .autodiff import Tensor
+from .autodiff import Tensor, no_grad
 from .config import ModelConfig
 from .errors import FormatError, ProtocolError
-from .network import decode_segmentation, encode_view
+from .network import encode_view, predict_segmentation
 from .scenes import SceneSample
 
 WIRE_MAGIC = b"DCPM"
@@ -80,7 +81,7 @@ def grant_message(src: int, dst: int, frame: int, feature: np.ndarray) -> Protoc
 
 
 def decode_feature_payload(msg: ProtocolMessage, shape) -> np.ndarray:
-    count = int(np.prod(shape))
+    count = math.prod(shape)
     if len(msg.payload) != 4 * count:
         raise FormatError(f"feature payload {len(msg.payload)} bytes, expected {4 * count}")
     return np.frombuffer(msg.payload, dtype="<f4").reshape(shape).astype(np.float64)
@@ -140,6 +141,7 @@ class FrameResult:
     ledger: CommLedger
 
 
+@no_grad()
 def run_frame(
     sample: SceneSample,
     params: dict[str, Tensor],
@@ -149,7 +151,8 @@ def run_frame(
 ) -> FrameResult:
     """Distributed inference for one frame under `method`, logging every message.
 
-    Every method fuses the float32 grant copies its ledger charges.
+    Every method fuses the float32 grant copies its ledger charges.  The
+    frame runs under `no_grad()`: no op records a graph.
     """
     n = sample.n_platforms
     ledger = CommLedger()
@@ -211,14 +214,13 @@ def run_frame(
             # dropped candidates are zeroed without renormalizing survivors
             scores = {j: Tensor(states[i].scores[j]) for j in received}
             fused = rff.fuse(feats[i], related, Tensor(states[i].confidence), scores,
-                             requested=bool(received), strict_gate=cfg.strict_confidence_gate)
+                             requested=bool(received))
         elif i == sample.victim:
             pulled = [received.get(j, f) for j, f in enumerate(feats)]
             fused = bl._fuse_baseline(method, pulled, i, list(received), params)
         else:
             fused = feats[i]
-        logits = decode_segmentation(fused, params)
-        predictions.append(np.argmax(logits.data, axis=2))
+        predictions.append(predict_segmentation(fused, params))
     return FrameResult(predictions, states, ledger)
 
 

@@ -8,6 +8,8 @@ into the local ones weighted by the confidence and match scores.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import autodiff as ad
@@ -43,10 +45,14 @@ def init_rff_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, Ten
     }
 
 
-def _coord_grid(h: int, w: int) -> Tensor:
-    """Two channels of normalized (y, x) coordinates in [-1, 1]."""
+@functools.lru_cache(maxsize=8)
+def _coord_grid(h: int, w: int) -> np.ndarray:
+    """Two channels of normalized (y, x) coordinates in [-1, 1], read-only
+    because every caller shares the cached array."""
     yy, xx = np.mgrid[0:h, 0:w]
-    return Tensor(np.stack([2.0 * yy / (h - 1) - 1.0, 2.0 * xx / (w - 1) - 1.0], axis=2))
+    grid = np.stack([2.0 * yy / (h - 1) - 1.0, 2.0 * xx / (w - 1) - 1.0], axis=2)
+    grid.flags.writeable = False
+    return grid
 
 
 def embed_features(f_local: Tensor, f_collab: Tensor, params: dict[str, Tensor]):
@@ -62,7 +68,7 @@ def embed_features(f_local: Tensor, f_collab: Tensor, params: dict[str, Tensor])
     h, w, c = f_local.shape
     cin = params["rff.theta.w"].shape[0]
     if cin == c + 2:
-        coords = _coord_grid(h, w)
+        coords = Tensor(_coord_grid(h, w), requires_grad=False)
         f_local = ad.concat([f_local, coords], axis=2)
         f_collab_in = ad.concat([f_collab, coords], axis=2)
     elif cin == c:
@@ -107,17 +113,15 @@ def fuse(
     confidence: Tensor,
     scores: dict[int, Tensor],
     requested: bool,
-    strict_gate: bool = False,
 ) -> Tensor:
     """Gated mix: p * local + (1 - p) * request * sum_j s_j * related_j.
 
     During centralized training the caller passes requested=True and the
     full candidate score set.  At inference with requested=False the
-    local features pass through unscaled unless `strict_gate` asks for
-    the p * local gating even without collaboration.
+    local features pass through unscaled.
     """
     if not requested:
-        return ad.scale_by(f_local, confidence) if strict_gate else f_local
+        return f_local
     missing = [j for j in scores if j not in related]
     if missing:
         raise ProtocolError(f"no related features for scored candidates {missing}")

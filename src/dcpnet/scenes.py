@@ -17,6 +17,8 @@ bitwise through the DCPT format.
 
 from __future__ import annotations
 
+import re
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -228,7 +230,14 @@ def make_dataset(
 # on-disk layout: manifest.txt plus DCPT tensors per sample
 
 
+# per-sample tensor files are named by frame id and platform index
+_SAMPLE_FILE = re.compile(r"f(-?\d+)_(?:view|mask)(\d+)\.dcpt")
+
+
 def save_dataset(samples: list[SceneSample], dirpath) -> None:
+    repeated = sorted(f for f, k in Counter(s.frame for s in samples).items() if k > 1)
+    if repeated:
+        raise InputError(f"frame ids {repeated} are shared by several samples; their tensor files would collide")
     d = Path(dirpath)
     d.mkdir(parents=True, exist_ok=True)
     lines = [f"count {len(samples)}"]
@@ -273,7 +282,14 @@ def load_dataset(dirpath) -> list[SceneSample]:
     header = lines[0].split() if lines else []
     if len(header) != 2 or header[0] != "count" or not header[1].isdecimal():
         raise FormatError("manifest missing count header")
+    present = {path.name for path in d.iterdir()}
+    platform_files: dict[int, list[tuple[int, str]]] = {}  # frame -> (platform index, file name)
+    for name in present:
+        m = _SAMPLE_FILE.fullmatch(name)
+        if m:
+            platform_files.setdefault(int(m[1]), []).append((int(m[2]), name))
     samples = []
+    seen = set()
     for line in lines[1:]:
         if not line.strip():
             continue
@@ -281,8 +297,18 @@ def load_dataset(dirpath) -> list[SceneSample]:
         n = len(degraded)
         if samples and n != samples[0].n_platforms:
             raise FormatError(f"frame {frame} has {n} platforms, the first sample has {samples[0].n_platforms}")
-        views = [load_tensor(d / f"f{frame:05d}_view{i}.dcpt") for i in range(n)]
-        masks = [load_tensor(d / f"f{frame:05d}_mask{i}.dcpt").astype(np.int64) for i in range(n)]
+        if frame in seen:
+            raise FormatError(f"frame {frame} is listed twice in {manifest}")
+        seen.add(frame)
+        stray = sorted(name for i, name in platform_files.get(frame, ()) if i >= n)
+        if stray:
+            raise FormatError(f"{d / stray[0]} belongs to a platform beyond the {n} flags of frame {frame}")
+        names = [f"f{frame:05d}_{kind}{i}.dcpt" for kind in ("view", "mask") for i in range(n)]
+        for name in names:
+            if name not in present:
+                raise FormatError(f"missing tensor file {d / name} listed by frame {frame}")
+        views = [load_tensor(d / name) for name in names[:n]]
+        masks = [load_tensor(d / name).astype(np.int64) for name in names[n:]]
         if samples:
             shapes = [a.shape for a in views + masks]
             first = [a.shape for a in samples[0].views + samples[0].masks]

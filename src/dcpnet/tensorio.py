@@ -8,6 +8,7 @@ values (everything the generator and the wire produce does).
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -36,7 +37,7 @@ def tensor_from_bytes(buf: bytes) -> np.ndarray:
     if len(buf) < 8 + 4 * rank:
         raise FormatError("tensor blob truncated in dimension list")
     dims = struct.unpack_from(f"<{rank}I", buf, 8) if rank else ()
-    count = int(np.prod(dims)) if rank else 1
+    count = math.prod(dims)
     payload = buf[8 + 4 * rank :]
     if len(payload) != 4 * count:
         raise FormatError(f"tensor payload is {len(payload)} bytes, expected {4 * count}")

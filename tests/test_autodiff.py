@@ -1,5 +1,8 @@
 """Op-level gradient checks and graph-engine contracts."""
 
+import threading
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -218,3 +221,84 @@ def test_first_gradient_is_an_owned_c_ordered_copy():
     assert np.array_equal(x.grad, first)
     with pytest.raises(ShapeError):
         x.accumulate(g)
+
+
+# every op, applied to the leaves of `_op_leaves`
+_OPS = {
+    "add": lambda t: ad.add(t.a, t.a),
+    "mul": lambda t: ad.mul(t.a, t.a),
+    "affine": lambda t: ad.affine(t.a, 2.5, -1.0),
+    "scale_by": lambda t: ad.scale_by(t.a, t.s),
+    "sum_all": lambda t: ad.sum_all(t.a),
+    "mean_over": lambda t: ad.mean_over(t.img, (0, 1)),
+    "matmul": lambda t: ad.matmul(t.a, t.m),
+    "transpose2d": lambda t: ad.transpose2d(t.a),
+    "reshape": lambda t: ad.reshape(t.a, (4, 3)),
+    "concat": lambda t: ad.concat([t.a, t.a], axis=1),
+    "take1d": lambda t: ad.take1d(t.b, 1),
+    "relu": lambda t: ad.relu(t.a),
+    "sigmoid": lambda t: ad.sigmoid(t.a),
+    "softmax": lambda t: ad.softmax(t.a, axis=1),
+    "conv1x1": lambda t: ad.conv1x1(t.img, t.m, t.b),
+    "conv2d": lambda t: ad.conv2d(t.img, t.w, t.b, stride=2, pad=1),
+    "upsample_nearest": lambda t: ad.upsample_nearest(t.img, 2),
+    "cross_entropy": lambda t: ad.cross_entropy(t.img, t.classes),
+}
+
+
+def _op_leaves():
+    return SimpleNamespace(a=leaf(3, 4), m=leaf(4, 2), s=Tensor(0.7), img=leaf(4, 4, 4), w=leaf(3, 3, 4, 2),
+                           b=leaf(2), classes=RNG.integers(0, 4, size=(4, 4)))
+
+
+@pytest.mark.parametrize("name", sorted(_OPS))
+def test_ops_under_no_grad_keep_values_and_build_no_graph(name):
+    leaves = _op_leaves()
+    with_graph = _OPS[name](leaves)
+    with ad.no_grad():
+        bare = _OPS[name](leaves)
+        loss = ad.sum_all(bare)
+    assert np.array_equal(bare.data, with_graph.data)
+    assert with_graph._parents and with_graph._backward is not None
+    assert bare._parents == () and bare._backward is None and not bare.requires_grad
+    with pytest.raises(ContractError, match="require a gradient"):
+        backward(loss)
+
+
+def test_no_grad_nests_and_is_restored_after_an_exception():
+    a = leaf(2, 2)
+    with ad.no_grad():
+        with ad.no_grad():
+            assert ad.add(a, a)._parents == ()
+        assert ad.add(a, a)._parents == ()
+    assert ad.add(a, a)._parents == (a, a)
+    with pytest.raises(RuntimeError):
+        with ad.no_grad():
+            raise RuntimeError("inside the block")
+    assert ad.add(a, a)._parents == (a, a)
+
+
+def test_no_grad_on_another_thread_leaves_this_thread_recording():
+    a = leaf(2, 2)
+    entered, release = threading.Event(), threading.Event()
+    seen = {}
+
+    def worker():
+        with ad.no_grad():
+            entered.set()
+            release.wait(timeout=10)
+            seen["worker"] = ad.add(a, a)._parents
+
+    t = threading.Thread(target=worker)
+    t.start()
+    try:
+        assert entered.wait(timeout=10)
+        out = ad.add(a, a)        # built while the worker sits inside no_grad
+    finally:
+        release.set()
+        t.join(timeout=10)
+    assert not t.is_alive()
+    assert out._parents == (a, a) and out._backward is not None
+    assert seen["worker"] == ()
+    backward(ad.sum_all(out))
+    assert np.array_equal(a.grad, np.full((2, 2), 2.0))

@@ -1,14 +1,17 @@
 """Wire format, ledger accounting, and frame execution."""
 
 import struct
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from dcpnet import harness, protocol as pr, scenes
+from dcpnet import autodiff as ad
+from dcpnet import harness, protocol as pr, scenes, training
 from dcpnet.autodiff import Tensor
 from dcpnet.errors import FormatError, ProtocolError
-from dcpnet.network import decode_segmentation, encode_view
+from dcpnet.network import decode_segmentation, encode_view, predict_segmentation
 
 from conftest import small_cfg, small_spec
 
@@ -112,3 +115,60 @@ def test_run_frames_merges_ledgers_in_frame_order():
     frames = [e[0] for e in ledger.entries]
     assert frames == sorted(frames)
     assert ledger.total_wire_bytes == sum(r.ledger.total_wire_bytes for r in results)
+
+
+def test_run_frame_builds_no_graph(monkeypatch):
+    cfg = small_cfg(n_platforms=3, request_threshold=1.0)
+    params = harness.init_dcp_params(cfg, seed=0)
+    sample = scenes.make_sample(small_spec(), "homo-cis", 0, 0, n_platforms=3)
+    fused = []
+
+    def spy(f, p):
+        fused.append(f)
+        return predict_segmentation(f, p)
+
+    monkeypatch.setattr(pr, "predict_segmentation", spy)
+    pr.run_frame(sample, params, cfg)
+    assert len(fused) == 3
+    assert all(f._parents == () and f._backward is None and not f.requires_grad for f in fused)
+
+
+def test_training_after_threaded_run_frame_still_gets_every_gradient():
+    # the order of the threaded c6 test followed by a training fixture
+    cfg = small_cfg(n_platforms=3, request_threshold=1.0)
+    params = harness.init_dcp_params(cfg, seed=0)
+    samples = scenes.make_dataset(small_spec(), "homo-cis", 16, seed=0, n_platforms=3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)   # frames overlap on every worker
+    try:
+        # a mode lost to interleaved save/restore calls would stay lost, so
+        # repeated rounds make the loss near certain
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            for _ in range(10):
+                results = list(pool.map(lambda s: pr.run_frame(s, params, cfg), samples))
+                assert len(results) == len(samples)
+    finally:
+        sys.setswitchinterval(interval)
+    training.zero_grad(params)
+    ad.backward(training.centralized_forward(samples[0], params, cfg))
+    assert [k for k, p in params.items() if p.grad is None] == []
+
+
+def test_predict_segmentation_is_the_argmax_of_the_decoded_logits():
+    cfg = small_cfg(classes=4)
+    rng = np.random.default_rng(0)
+    params = harness.init_dcp_params(cfg, seed=0)
+    feats = Tensor(rng.normal(size=(2, 2, cfg.feature_channels)))
+    cases = [(feats, params)]
+    # small integer features and weights: a quarter of the pixels tie between classes
+    tied = dict(params)
+    tied["dec.head.w"] = Tensor(rng.integers(-1, 2, size=(cfg.feature_channels, 4)).astype(np.float64))
+    tied["dec.head.b"] = Tensor(np.zeros(4))
+    cases.append((Tensor(rng.integers(-1, 2, size=(4, 4, cfg.feature_channels)).astype(np.float64)), tied))
+    cases.append((feats, dict(params, **{"dec.head.w": Tensor(np.zeros((cfg.feature_channels, 4))),
+                                         "dec.head.b": Tensor(np.array([0.0, 1.0, 1.0, 1.0]))})))
+    for f, p in cases:
+        got = predict_segmentation(f, p)
+        want = np.argmax(decode_segmentation(f, p).data, axis=2)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.all(got == 1)   # all-tied classes 1-3: the first maximum wins

@@ -136,7 +136,7 @@ def test_dataset_round_trip_and_manifest_checks(tmp_path):
 def test_manifest_platform_counts_must_agree(tmp_path):
     spec = small_spec()
     mixed = [scenes.make_sample(spec, "homo-cis", 1, 0, n_platforms=2),
-             scenes.make_sample(spec, "homo-cis", 1, 1, n_platforms=3)]
+             scenes.make_sample(spec, "homo-cis", 2, 1, n_platforms=3)]
     scenes.save_dataset(mixed, tmp_path / "ds")
     with pytest.raises(FormatError, match="platforms"):
         scenes.load_dataset(tmp_path / "ds")
@@ -192,4 +192,37 @@ def test_non_finite_view_is_rejected(tmp_path):
     view[3, 4, 0] = np.nan
     (out / "f00000_view1.dcpt").write_bytes(tensor_to_bytes(view))
     with pytest.raises(FormatError, match="non-finite"):
+        scenes.load_dataset(out)
+
+
+def test_save_rejects_shared_frame_ids(tmp_path):
+    spec = small_spec()
+    clash = [scenes.make_sample(spec, "homo-cis", 1, 0, n_platforms=2),
+             scenes.make_sample(spec, "homo-cis", 1, 1, n_platforms=2)]
+    with pytest.raises(InputError, match=r"\[1\]"):
+        scenes.save_dataset(clash, tmp_path / "ds")
+    assert not (tmp_path / "ds").exists()
+
+
+def test_manifest_rejects_a_repeated_frame_line(tmp_path):
+    out = _one_sample_set(tmp_path)
+    body = (out / "manifest.txt").read_text().splitlines()[1]
+    (out / "manifest.txt").write_text(f"count 2\n{body}\n{body}\n")
+    with pytest.raises(FormatError, match="twice"):
+        scenes.load_dataset(out)
+
+
+@pytest.mark.parametrize("name", ["f00000_view1.dcpt", "f00000_mask0.dcpt"])
+def test_missing_tensor_file_is_named(tmp_path, name):
+    out = _one_sample_set(tmp_path)
+    (out / name).unlink()
+    with pytest.raises(FormatError, match=name):
+        scenes.load_dataset(out)
+
+
+@pytest.mark.parametrize("name", ["f00000_view2.dcpt", "f00000_mask5.dcpt"])
+def test_tensor_file_beyond_the_flag_count_is_rejected(tmp_path, name):
+    out = _one_sample_set(tmp_path)   # two platforms: flags "10"
+    (out / name).write_bytes((out / "f00000_view1.dcpt").read_bytes())
+    with pytest.raises(FormatError, match=name):
         scenes.load_dataset(out)

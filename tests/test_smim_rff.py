@@ -127,8 +127,6 @@ def test_fuse_passthrough_and_literal_mode():
     local = Tensor(RNG.normal(size=(2, 2, 3)))
     out = rff.fuse(local, {}, Tensor(0.3), {}, requested=False)
     assert out is local
-    gated = rff.fuse(local, {}, Tensor(0.3), {}, requested=False, strict_gate=True)
-    assert np.allclose(gated.data, 0.3 * local.data)
 
 
 def test_fuse_requires_related_for_every_score():
