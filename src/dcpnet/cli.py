@@ -5,30 +5,13 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 
 from . import harness, reports, scenes
 from .baselines import BASELINES
-from .config import ModelConfig, WorldSpec
-from .errors import DcpError, InputError
+from .config import WorldSpec
+from .errors import DcpError
 from .training import TrainConfig
-
-
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--classes", type=int, default=6)
-    p.add_argument("--request-dim", type=int, default=32)
-
-
-def _model_config(args, dataset, **flags) -> ModelConfig:
-    """The model flags, with the platform count and view size of the dataset."""
-    if not dataset:
-        raise InputError(f"dataset {args.dataset} holds no samples")
-    return ModelConfig(
-        n_platforms=dataset[0].n_platforms,
-        view_size=dataset[0].views[0].shape[0],
-        classes=args.classes,
-        request_dim=args.request_dim,
-        **flags,
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--supervision", choices=("victim_only", "all_platforms"), default="victim_only")
     t.add_argument("--curve", default=None, help="optional loss-curve CSV path")
-    _add_model_flags(t)
+    t.add_argument("--request-dim", type=int, default=32, help="compressed request length")
 
     e = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     e.add_argument("--dataset", required=True)
@@ -71,7 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--request-threshold", type=float, default=0.8)
     e.add_argument("--dump-predictions", type=int, default=0,
                    help="dump the first N frames as PGM/PPM files")
-    _add_model_flags(e)
 
     s = sub.add_parser("sweep", help="request-threshold or request-size ablation")
     s.add_argument("--kind", choices=("threshold", "request-size"), default="threshold")
@@ -84,7 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--request-threshold", type=float, default=0.8)
     s.add_argument("--out", required=True)
-    _add_model_flags(s)
 
     r = sub.add_parser("report", help="rewrite tables.csv from a metrics.json")
     r.add_argument("--metrics", required=True)
@@ -120,7 +101,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_train(args) -> int:
     dataset = scenes.load_dataset(args.dataset)
-    cfg = _model_config(args, dataset)
+    cfg = harness.model_config(dataset, request_dim=args.request_dim)
     tcfg = TrainConfig(
         lr=args.lr, epochs=args.epochs, batch_size=args.batch_size,
         seed=args.seed, supervision=args.supervision,
@@ -146,9 +127,9 @@ def _victim_dumps(results, dataset, count: int) -> dict:
 
 def _cmd_eval(args) -> int:
     dataset = scenes.load_dataset(args.dataset)
-    cfg = _model_config(args, dataset, request_threshold=args.request_threshold)
     method = args.baseline or "dcp-net"
-    params = harness.load_model(method, cfg, args.ckpt)
+    cfg, params = harness.load_model(method, dataset, args.ckpt)
+    cfg = replace(cfg, request_threshold=args.request_threshold)
     record, results = harness.evaluate(
         method, dataset, params, cfg, comm_accounting=args.comm_accounting, seed=args.seed
     )
@@ -159,12 +140,11 @@ def _cmd_eval(args) -> int:
 
 def _cmd_sweep(args) -> int:
     dataset = scenes.load_dataset(args.dataset)
-    cfg = _model_config(args, dataset, request_threshold=args.request_threshold)
     if args.kind == "threshold":
         if not args.ckpt:
             print("threshold sweep needs --ckpt", file=sys.stderr)
             return 2
-        params = harness.load_model("dcp-net", cfg, args.ckpt)
+        cfg, params = harness.load_model("dcp-net", dataset, args.ckpt)
         rows = harness.sweep_request_threshold(dataset, params, cfg, args.grid)
         harness.sweep_rows_to_csv(rows, args.out, "threshold")
     else:
@@ -172,6 +152,7 @@ def _cmd_sweep(args) -> int:
             print("request-size sweep needs --train-dataset", file=sys.stderr)
             return 2
         train_set = scenes.load_dataset(args.train_dataset)
+        cfg = harness.model_config(dataset, request_threshold=args.request_threshold)
         tcfg = TrainConfig(lr=args.lr, epochs=args.epochs, seed=args.seed)
         grid = [int(g) for g in args.grid] if args.grid else (2, 8, 32, 128)
         rows = harness.sweep_request_size(train_set, dataset, cfg, tcfg, grid)

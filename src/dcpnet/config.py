@@ -20,7 +20,6 @@ class ModelConfig:
     request_dim: int = 32        # compressed request length r
     embed_channels: int = 8      # C' for the cross-attention embeddings
     request_threshold: float = 0.8
-    attend_coords: bool = True   # append normalized grid coordinates to the attention embeddings
 
     def __post_init__(self):
         if self.n_platforms < 2:
@@ -32,9 +31,9 @@ class ModelConfig:
         if not 0.0 <= self.request_threshold <= 1.0:
             raise ConfigError(f"request threshold {self.request_threshold} outside [0, 1]")
         # r == qk_dim is allowed as the no-compression ceiling in sweeps
-        if self.request_dim > self.qk_dim:
+        if not 1 <= self.request_dim <= self.qk_dim:
             raise ConfigError(
-                f"request dim {self.request_dim} exceeds qk dim {self.qk_dim}"
+                f"request dim {self.request_dim} outside [1, qk dim {self.qk_dim}]"
             )
         if self.embed_channels > self.feature_channels // 4:
             raise ConfigError(

@@ -48,19 +48,33 @@ def init_params(method: str, cfg: ModelConfig, seed: int) -> dict[str, Tensor]:
     return bl.init_baseline_params(method, cfg, seed)
 
 
-def load_model(method: str, cfg: ModelConfig, dirpath) -> dict[str, Tensor]:
-    """A checkpoint whose keys and shapes must match a fresh `method` init for `cfg`."""
+def model_config(dataset: list[SceneSample], **flags) -> ModelConfig:
+    """A config with the platform count, view size and class count of `dataset`, plus `flags`."""
+    if not dataset:
+        raise InputError("the dataset holds no samples")
+    first = dataset[0]
+    return ModelConfig(n_platforms=first.n_platforms, view_size=first.views[0].shape[0],
+                       classes=first.classes, **flags)
+
+
+def load_model(method: str, dataset: list[SceneSample], dirpath) -> tuple[ModelConfig, dict[str, Tensor]]:
+    """The `method` model of `dataset` stored in `dirpath`, request size read from `smim.r.w`.
+
+    Keys and shapes must match a fresh `method` init for that configuration."""
     params = load_checkpoint(dirpath)
+    r = params.get("smim.r.w")
+    flags = {"request_dim": r.shape[1]} if r is not None and r.data.ndim == 2 else {}
+    cfg = model_config(dataset, **flags)
     fresh = init_params(method, cfg, seed=0)
     for key in sorted(params.keys() | fresh.keys()):
         got = params[key].shape if key in params else "missing"
         want = fresh[key].shape if key in fresh else "missing"
         if got != want:
             raise ConfigError(
-                f"checkpoint {dirpath} does not fit the {method} model flags: "
-                f"{key!r} is {got}, the flags need {want}"
+                f"checkpoint {dirpath} does not fit the {method} model of the dataset: "
+                f"{key!r} is {got}, the dataset needs {want}"
             )
-    return params
+    return cfg, params
 
 
 def train_method(method: str, train_set: list[SceneSample], cfg: ModelConfig, tcfg: TrainConfig):
@@ -154,8 +168,8 @@ def run_experiment(
         raise InputError(
             f"an experiment needs samples to train and validate on, got {train_samples} and {val_samples}"
         )
-    cfg = ModelConfig()
     spec = WorldSpec() if mode == "homo-cis" else WorldSpec(world_size=80, min_view_separation=0)
+    cfg = ModelConfig(classes=spec.classes)
     train_set = scenes.make_dataset(spec, mode, train_samples, seed=seed, noise_strength=noise_strength)
     val_set = scenes.make_dataset(spec, mode, val_samples, seed=seed + 1000, noise_strength=noise_strength)
     tcfg = TrainConfig(seed=seed)
@@ -206,6 +220,8 @@ def sweep_request_size(
     grid=(2, 8, 32, 128),
 ) -> list[SweepRow]:
     """Retrain the request pathway per request size, then evaluate."""
+    if model_config(train_set) != model_config(val_set):
+        raise InputError("the training and validation sets differ in platform count, view size or classes")
     rows = []
     for r in grid:
         cfg_r = replace(cfg, request_dim=int(r))  # raises ConfigError when r > qk dim

@@ -26,15 +26,12 @@ def init_rff_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, Ten
     identity, so related features are a faithful (if blurry) copy of the
     collaborative grid from the very first step.  Without this the
     confidence gate shuts off the collaborative branch before attention
-    has learned anything useful.  With coordinate channels enabled the
-    coordinate rows get a larger scale so attention is position-aware at
-    init.
+    has learned anything useful.  The two coordinate rows get a larger
+    scale so attention is position-aware at init.
     """
     c, cp = cfg.feature_channels, cfg.embed_channels
-    cin = c + 2 if cfg.attend_coords else c
-    theta = glorot(rng, (cin, cp), cin, cp)
-    if cfg.attend_coords:
-        theta.data[c:, :] *= 4.0
+    theta = glorot(rng, (c + 2, cp), c + 2, cp)
+    theta.data[c:, :] *= 4.0
     return {
         "rff.theta.w": theta,
         "rff.theta.b": Tensor(np.zeros(cp)),
@@ -58,23 +55,20 @@ def _coord_grid(h: int, w: int) -> np.ndarray:
 def embed_features(f_local: Tensor, f_collab: Tensor, params: dict[str, Tensor]):
     """Returns (theta(local), phi(collab), g(collab)).
 
-    When the embedding weights carry two extra input rows, normalized
-    grid coordinates are appended to the attention inputs so affinity can
-    condition on position as well as appearance.  The value map g always
-    sees the plain features.
+    Normalized grid coordinates are appended to the attention inputs, so
+    the embedding weights take two rows beyond the feature channels and
+    affinity can condition on position as well as appearance.  The value
+    map g sees the plain features.
     """
     if f_local.shape != f_collab.shape:
         raise ShapeError(f"embed: local {f_local.shape} vs collaborative {f_collab.shape}")
     h, w, c = f_local.shape
     cin = params["rff.theta.w"].shape[0]
-    if cin == c + 2:
-        coords = Tensor(_coord_grid(h, w), requires_grad=False)
-        f_local = ad.concat([f_local, coords], axis=2)
-        f_collab_in = ad.concat([f_collab, coords], axis=2)
-    elif cin == c:
-        f_collab_in = f_collab
-    else:
-        raise ShapeError(f"embed weights expect {cin} channels, features have {c}")
+    if cin != c + 2:
+        raise ShapeError(f"embed weights take {cin} channels, features have {c} plus 2 coordinates")
+    coords = Tensor(_coord_grid(h, w), requires_grad=False)
+    f_local = ad.concat([f_local, coords], axis=2)
+    f_collab_in = ad.concat([f_collab, coords], axis=2)
     theta_out = ad.conv1x1(f_local, params["rff.theta.w"], params["rff.theta.b"])
     phi_out = ad.conv1x1(f_collab_in, params["rff.phi.w"], params["rff.phi.b"])
     g_out = ad.conv1x1(f_collab, params["rff.g.w"], params["rff.g.b"])

@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import NoiseConfig, WorldSpec
 from .errors import ConfigError, FormatError, InputError
-from .tensorio import load_tensor, save_tensor
+from .tensorio import load_tensor, read_manifest, save_tensor
 
 MODES = ("homo-cis", "homo-pis", "hetero-pis")
 
@@ -57,6 +57,7 @@ class SceneSample:
     mode: str
     seed: int
     frame: int
+    classes: int                     # masks hold class ids in [0, classes)
 
     @property
     def n_platforms(self) -> int:
@@ -209,7 +210,7 @@ def make_sample(
             if j != victim:
                 views[j] = _hetero_transform(views[j])
 
-    return SceneSample(views, masks, degraded, victim, clean_twin, mode, seed, frame)
+    return SceneSample(views, masks, degraded, victim, clean_twin, mode, seed, frame, spec.classes)
 
 
 def make_dataset(
@@ -238,9 +239,12 @@ def save_dataset(samples: list[SceneSample], dirpath) -> None:
     repeated = sorted(f for f, k in Counter(s.frame for s in samples).items() if k > 1)
     if repeated:
         raise InputError(f"frame ids {repeated} are shared by several samples; their tensor files would collide")
+    classes = sorted({s.classes for s in samples})
+    if len(classes) > 1:
+        raise InputError(f"samples disagree on the class count: {classes}")
     d = Path(dirpath)
     d.mkdir(parents=True, exist_ok=True)
-    lines = [f"count {len(samples)}"]
+    lines = [f"count {len(samples)} classes {classes[0] if classes else 0}"]
     for s in samples:
         twin = -1 if s.clean_twin is None else s.clean_twin
         flags = "".join("1" if f else "0" for f in s.degraded)
@@ -273,15 +277,23 @@ def _parse_sample_line(line: str):
     return frame, mode, seed, victim, twin, [c == "1" for c in flags]
 
 
+def _load_mask(path: Path, classes: int) -> np.ndarray:
+    """A mask file as int64 ids, each checked to be a class id in [0, classes)."""
+    raw = load_tensor(path)
+    ids = raw.astype(np.int64)
+    if ids.size and (ids.min() < 0 or ids.max() >= classes or not np.array_equal(ids, raw)):
+        raise FormatError(f"{path} holds values that are not class ids in [0, {classes})")
+    return ids
+
+
 def load_dataset(dirpath) -> list[SceneSample]:
     d = Path(dirpath)
     manifest = d / "manifest.txt"
-    if not manifest.is_file():
-        raise FormatError(f"missing manifest {manifest}")
-    lines = manifest.read_text().splitlines()
+    lines = read_manifest(manifest)
     header = lines[0].split() if lines else []
-    if len(header) != 2 or header[0] != "count" or not header[1].isdecimal():
-        raise FormatError("manifest missing count header")
+    if len(header) != 4 or header[::2] != ["count", "classes"] or not all(h.isdecimal() for h in header[1::2]):
+        raise FormatError(f"manifest {manifest} lacks its 'count N classes K' header")
+    expected, classes = int(header[1]), int(header[3])
     present = {path.name for path in d.iterdir()}
     platform_files: dict[int, list[tuple[int, str]]] = {}  # frame -> (platform index, file name)
     for name in present:
@@ -308,16 +320,15 @@ def load_dataset(dirpath) -> list[SceneSample]:
             if name not in present:
                 raise FormatError(f"missing tensor file {d / name} listed by frame {frame}")
         views = [load_tensor(d / name) for name in names[:n]]
-        masks = [load_tensor(d / name).astype(np.int64) for name in names[n:]]
+        masks = [_load_mask(d / name, classes) for name in names[n:]]
         if samples:
             shapes = [a.shape for a in views + masks]
             first = [a.shape for a in samples[0].views + samples[0].masks]
             if shapes != first:
                 raise FormatError(f"frame {frame} has view and mask shapes {shapes}, the first has {first}")
         samples.append(
-            SceneSample(views, masks, degraded, victim, None if twin < 0 else twin, mode, seed, frame)
+            SceneSample(views, masks, degraded, victim, None if twin < 0 else twin, mode, seed, frame, classes)
         )
-    expected = int(header[1])
     if len(samples) != expected:
         raise FormatError(f"manifest promises {expected} samples, found {len(samples)}")
     return samples

@@ -68,18 +68,30 @@ def save_tensor_dict(dirpath, tensors: dict[str, np.ndarray], manifest_name: str
     (d / manifest_name).write_text("\n".join(lines) + "\n")
 
 
+def read_manifest(path) -> list[str]:
+    """The lines of a UTF-8 text manifest."""
+    path = Path(path)
+    if not path.is_file():
+        raise FormatError(f"missing manifest {path}")
+    try:
+        return path.read_bytes().decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"manifest {path} is not UTF-8 text") from exc
+
+
 def load_tensor_dict(dirpath, manifest_name: str = "manifest.txt") -> dict[str, np.ndarray]:
     d = Path(dirpath)
-    manifest = d / manifest_name
-    if not manifest.is_file():
-        raise FormatError(f"missing manifest {manifest}")
     out: dict[str, np.ndarray] = {}
-    for line in manifest.read_text().splitlines():
+    for line in read_manifest(d / manifest_name):
         if not line.strip():
             continue
         try:
             key, fname = line.split()
         except ValueError as exc:
             raise FormatError(f"malformed manifest line {line!r}") from exc
+        if key in out:
+            raise FormatError(f"key {key!r} is listed twice in {d / manifest_name}")
+        if Path(fname).name != fname or not (d / fname).is_file():
+            raise FormatError(f"missing tensor file {d / fname} listed for {key!r}")
         out[key] = load_tensor(d / fname)
     return out

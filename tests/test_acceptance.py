@@ -278,6 +278,6 @@ def test_c11_corruption_is_typed_never_a_crash(tmp_path):
     samples = scenes.make_dataset(small_spec(), "homo-cis", 1, seed=0, n_platforms=2)
     out = tmp_path / "ds"
     scenes.save_dataset(samples, out)
-    (out / "manifest.txt").write_text("count 1\nsample garbage\n")
+    (out / "manifest.txt").write_text("count 1 classes 3\nsample garbage\n")
     with pytest.raises(DcpError):
         scenes.load_dataset(out)

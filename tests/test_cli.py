@@ -1,12 +1,13 @@
 """End-to-end CLI pipeline on a miniature configuration."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from dcpnet import cli
 
-SMALL = ["--classes", "3"]
+BENCH_CHECKPOINT = Path(__file__).resolve().parents[1] / "benchmarks" / "checkpoint"
 
 
 def test_gen_train_eval_sweep_report_pipeline(tmp_path, capsys):
@@ -23,7 +24,7 @@ def test_gen_train_eval_sweep_report_pipeline(tmp_path, capsys):
     rc = cli.main([
         "train", "--dataset", str(ds), "--ckpt", str(ckpt),
         "--epochs", "1", "--lr", "1e-3", "--batch-size", "2", "--seed", "1",
-        "--curve", str(curve), *SMALL,
+        "--curve", str(curve),
     ])
     assert rc == 0
     assert (ckpt / "manifest.txt").is_file()
@@ -32,7 +33,7 @@ def test_gen_train_eval_sweep_report_pipeline(tmp_path, capsys):
     out = tmp_path / "report"
     rc = cli.main([
         "eval", "--dataset", str(ds), "--ckpt", str(ckpt), "--out", str(out),
-        "--dump-predictions", "1", *SMALL,
+        "--dump-predictions", "1",
     ])
     assert rc == 0
     assert (out / "metrics.json").is_file()
@@ -43,7 +44,7 @@ def test_gen_train_eval_sweep_report_pipeline(tmp_path, capsys):
     sweep = tmp_path / "sweep.csv"
     rc = cli.main([
         "sweep", "--kind", "threshold", "--dataset", str(ds), "--ckpt", str(ckpt),
-        "--grid", "0.0", "0.5", "1.0", "--out", str(sweep), *SMALL,
+        "--grid", "0.0", "0.5", "1.0", "--out", str(sweep),
     ])
     assert rc == 0
     assert sweep.read_text().splitlines()[0] == "threshold,avg_miou,mbpf,ce"
@@ -64,13 +65,13 @@ def test_baseline_train_eval(tmp_path, capsys):
     ckpt = tmp_path / "ni"
     rc = cli.main([
         "train", "--dataset", str(ds), "--ckpt", str(ckpt), "--baseline", "no-interaction",
-        "--epochs", "1", "--batch-size", "2", *SMALL,
+        "--epochs", "1", "--batch-size", "2",
     ])
     assert rc == 0
     out = tmp_path / "report"
     rc = cli.main([
         "eval", "--dataset", str(ds), "--ckpt", str(ckpt), "--baseline", "no-interaction",
-        "--out", str(out), *SMALL,
+        "--out", str(out),
     ])
     assert rc == 0
     capsys.readouterr()
@@ -79,39 +80,59 @@ def test_baseline_train_eval(tmp_path, capsys):
 def test_cli_surfaces_typed_errors_as_exit_codes(tmp_path, capsys):
     rc = cli.main([
         "eval", "--dataset", str(tmp_path / "missing"), "--ckpt", str(tmp_path / "none"),
-        "--out", str(tmp_path / "r"), *SMALL,
+        "--out", str(tmp_path / "r"),
     ])
     assert rc == 1
     rc = cli.main(["sweep", "--kind", "threshold", "--dataset", str(tmp_path / "missing"),
-                   "--out", str(tmp_path / "s.csv"), *SMALL])
+                   "--out", str(tmp_path / "s.csv")])
     assert rc in (1, 2)
     capsys.readouterr()
 
 
-def test_checkpoint_must_fit_the_model_flags(tmp_path, capsys):
-    ds = tmp_path / "ds"
-    cli.main([
-        "gen", "--mode", "homo-cis", "--samples", "2", "--seed", "3", "--out", str(ds),
-        "--world-size", "32", "--view-size", "16", "--classes", "3", "--platforms", "2",
-    ])
+def test_checkpoint_must_fit_the_dataset(tmp_path, capsys):
+    ds, five = tmp_path / "ds", tmp_path / "five"
+    assert _gen_small(ds, 2) == 0
+    assert _gen_small(five, 2, classes="5") == 0
     ckpt = tmp_path / "ckpt"
     rc = cli.main(["train", "--dataset", str(ds), "--ckpt", str(ckpt), "--epochs", "1",
-                   "--request-dim", "4", *SMALL])
+                   "--request-dim", "4"])
     assert rc == 0
     capsys.readouterr()
-    wrong_classes = ["--classes", "5", "--request-dim", "4"]
-    rc = cli.main(["eval", "--dataset", str(ds), "--ckpt", str(ckpt),
-                   "--out", str(tmp_path / "r"), *wrong_classes])
-    assert rc == 1
-    assert "'dec.head.b'" in capsys.readouterr().err
-    rc = cli.main(["sweep", "--dataset", str(ds), "--ckpt", str(ckpt),
-                   "--out", str(tmp_path / "s.csv"), "--request-dim", "8", *SMALL])
-    assert rc == 1
-    assert "'smim.r.b'" in capsys.readouterr().err
+    # the request size is read from the checkpoint
+    assert cli.main(["eval", "--dataset", str(ds), "--ckpt", str(ckpt), "--out", str(tmp_path / "r")]) == 0
+    capsys.readouterr()
+    for cmd in ("eval", "sweep"):
+        rc = cli.main([cmd, "--dataset", str(five), "--ckpt", str(ckpt), "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "'dec.head.b'" in err and "does not fit" in err
     rc = cli.main(["eval", "--dataset", str(ds), "--ckpt", str(ckpt), "--baseline", "concat-all",
-                   "--out", str(tmp_path / "r"), "--request-dim", "4", *SMALL])
+                   "--out", str(tmp_path / "r")])
     assert rc == 1
     assert "'cat.reduce.b'" in capsys.readouterr().err
+
+
+def test_six_class_checkpoint_on_a_three_class_set_is_rejected(tmp_path, capsys):
+    ds = tmp_path / "ds"
+    assert _gen_small(ds, 2) == 0
+    capsys.readouterr()
+    rc = cli.main(["eval", "--dataset", str(ds), "--ckpt", str(BENCH_CHECKPOINT), "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and "'dec.head.b'" in err
+    assert not (tmp_path / "r").exists()
+
+
+def test_missing_checkpoint_tensor_is_a_typed_error(tmp_path, capsys):
+    ds, ckpt = tmp_path / "ds", tmp_path / "ckpt"
+    assert _gen_small(ds, 2) == 0
+    assert cli.main(["train", "--dataset", str(ds), "--ckpt", str(ckpt), "--epochs", "1"]) == 0
+    (ckpt / "dec.head.w.dcpt").unlink()
+    capsys.readouterr()
+    rc = cli.main(["eval", "--dataset", str(ds), "--ckpt", str(ckpt), "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and "dec.head.w.dcpt" in err and "Traceback" not in err
 
 
 def test_tiny_experiments_write_reports(tmp_path, capsys):
@@ -137,10 +158,10 @@ def test_tiny_experiments_write_reports(tmp_path, capsys):
     assert "clean-twin selection accuracy" in printed and "report written to" in printed
 
 
-def _gen_small(out, samples, platforms="2"):
+def _gen_small(out, samples, platforms="2", classes="3"):
     return cli.main([
         "gen", "--mode", "homo-cis", "--samples", str(samples), "--seed", "4", "--out", str(out),
-        "--world-size", "32", "--view-size", "16", "--classes", "3", "--platforms", platforms,
+        "--world-size", "32", "--view-size", "16", "--classes", classes, "--platforms", platforms,
     ])
 
 
@@ -148,30 +169,51 @@ def test_model_shape_comes_from_the_dataset(tmp_path, capsys):
     ds = tmp_path / "ds"
     assert _gen_small(ds, 2, platforms="3") == 0
     ckpt = tmp_path / "ckpt"
-    assert cli.main(["train", "--dataset", str(ds), "--ckpt", str(ckpt), "--epochs", "1", *SMALL]) == 0
+    assert cli.main(["train", "--dataset", str(ds), "--ckpt", str(ckpt), "--epochs", "1"]) == 0
     out = tmp_path / "r"
-    assert cli.main(["eval", "--dataset", str(ds), "--ckpt", str(ckpt), "--out", str(out), *SMALL]) == 0
+    assert cli.main(["eval", "--dataset", str(ds), "--ckpt", str(ckpt), "--out", str(out)]) == 0
     [record] = json.loads((out / "metrics.json").read_text())
     assert len(record["per_platform_miou"]) == 3
     train = ["train", "--dataset", str(ds), "--ckpt", str(ckpt)]
-    for argv in (train, ["eval", "--dataset", str(ds), "--ckpt", str(ckpt), "--out", str(out)],
-                 ["sweep", "--dataset", str(ds), "--ckpt", str(ckpt), "--out", str(out)]):
+    evaluate = ["eval", "--dataset", str(ds), "--ckpt", str(ckpt), "--out", str(out)]
+    sweep = ["sweep", "--dataset", str(ds), "--ckpt", str(ckpt), "--out", str(out)]
+    for argv in (train, evaluate, sweep):
         cli.build_parser().parse_args(argv)
-        for flag in (["--platforms", "4"], ["--view-size", "32"]):
+        for flag in (["--platforms", "4"], ["--view-size", "32"], ["--classes", "3"]):
             with pytest.raises(SystemExit):
                 cli.build_parser().parse_args(argv + flag)
+    cli.build_parser().parse_args(train + ["--request-dim", "4"])
+    for argv in (evaluate, sweep):
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(argv + ["--request-dim", "4"])
     with pytest.raises(SystemExit):
         cli.build_parser().parse_args(train + ["--request-threshold", "0.5"])
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag", [["--classes", "6"], ["--platforms", "3"]])
+def test_request_size_sweep_needs_sets_of_one_shape(tmp_path, capsys, flag):
+    ds, other = tmp_path / "ds", tmp_path / "other"
+    assert _gen_small(ds, 2) == 0
+    assert cli.main(["gen", "--mode", "homo-cis", "--samples", "2", "--seed", "5", "--out", str(other),
+                     "--world-size", "32", "--view-size", "16", "--classes", "3", "--platforms", "2", *flag]) == 0
+    capsys.readouterr()
+    for train, val in ((ds, other), (other, ds)):
+        rc = cli.main(["sweep", "--kind", "request-size", "--dataset", str(val), "--train-dataset", str(train),
+                       "--grid", "2", "--epochs", "1", "--out", str(tmp_path / "s.csv")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and "differ" in err
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_empty_evaluation_set_is_a_typed_error(tmp_path, capsys):
     ds, empty, ckpt = tmp_path / "ds", tmp_path / "empty", tmp_path / "ckpt"
     assert _gen_small(ds, 2) == 0 and _gen_small(empty, 0) == 0
-    assert cli.main(["train", "--dataset", str(ds), "--ckpt", str(ckpt), "--epochs", "1", *SMALL]) == 0
+    assert cli.main(["train", "--dataset", str(ds), "--ckpt", str(ckpt), "--epochs", "1"]) == 0
     capsys.readouterr()
     for cmd in ("eval", "sweep"):
-        rc = cli.main([cmd, "--dataset", str(empty), "--ckpt", str(ckpt), "--out", str(tmp_path / "r"), *SMALL])
+        rc = cli.main([cmd, "--dataset", str(empty), "--ckpt", str(ckpt), "--out", str(tmp_path / "r")])
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error: ") and "Traceback" not in err

@@ -1,15 +1,19 @@
 """DCPT tensor files, checkpoints, report emission, netpbm dumps."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dcpnet import harness, reports, tensorio
+from dcpnet import harness, reports, scenes, tensorio
+from dcpnet.config import WorldSpec
 from dcpnet.errors import FormatError
 from dcpnet.metrics import MetricsRecord
 
 from conftest import small_cfg
+
+BENCH_CHECKPOINT = Path(__file__).resolve().parents[1] / "benchmarks" / "checkpoint"
 
 
 def test_tensor_round_trip_various_ranks():
@@ -48,6 +52,46 @@ def test_checkpoint_round_trip_is_f32_faithful(tmp_path):
     assert set(back) == set(params)
     for name in params:
         assert np.array_equal(back[name].data, params[name].data.astype(np.float32))
+
+
+def test_missing_checkpoint_tensor_is_named(tmp_path):
+    harness.save_checkpoint(harness.init_dcp_params(small_cfg(), seed=0), tmp_path / "ckpt")
+    (tmp_path / "ckpt" / "dec.head.w.dcpt").unlink()
+    with pytest.raises(FormatError, match="dec.head.w.dcpt"):
+        harness.load_checkpoint(tmp_path / "ckpt")
+
+
+@pytest.mark.parametrize("fname", ["../b.dcpt", "sub", "/b.dcpt", "."])
+def test_tensor_dict_files_must_lie_in_the_directory(tmp_path, fname):
+    tensorio.save_tensor_dict(tmp_path / "d", {"a": np.ones(2)})
+    tensorio.save_tensor(tmp_path / "b.dcpt", np.ones(2))
+    (tmp_path / "d" / "sub").mkdir()
+    (tmp_path / "d" / "manifest.txt").write_text(f"a {fname}\n")
+    with pytest.raises(FormatError, match="missing tensor file"):
+        tensorio.load_tensor_dict(tmp_path / "d")
+
+
+def test_tensor_dict_rejects_a_repeated_key(tmp_path):
+    tensorio.save_tensor_dict(tmp_path / "d", {"a": np.ones(2), "b": np.zeros(3)})
+    (tmp_path / "d" / "manifest.txt").write_text("a a.dcpt\na b.dcpt\n")
+    with pytest.raises(FormatError, match="'a' is listed twice"):
+        tensorio.load_tensor_dict(tmp_path / "d")
+
+
+def test_manifest_must_be_utf8(tmp_path):
+    tensorio.save_tensor_dict(tmp_path / "d", {"a": np.ones(2)})
+    (tmp_path / "d" / "manifest.txt").write_bytes(b"a a.dcpt\xff\n")
+    with pytest.raises(FormatError, match="UTF-8"):
+        tensorio.load_tensor_dict(tmp_path / "d")
+
+
+def test_load_model_reads_the_benchmark_checkpoint_shape():
+    before = {p.name: p.read_bytes() for p in BENCH_CHECKPOINT.iterdir()}
+    sample = scenes.make_sample(WorldSpec(), "homo-cis", 0, 1007)
+    cfg, params = harness.load_model("dcp-net", [sample], BENCH_CHECKPOINT)
+    assert (cfg.request_dim, cfg.classes, cfg.n_platforms, cfg.view_size) == (32, 6, 4, 64)
+    assert params["rff.theta.w"].shape == (34, 8)
+    assert {p.name: p.read_bytes() for p in BENCH_CHECKPOINT.iterdir()} == before
 
 
 def test_pgm_ppm_round_trip(tmp_path):

@@ -172,17 +172,22 @@ def _one_sample_set(tmp_path):
 ])
 def test_manifest_field_checks(tmp_path, line):
     out = _one_sample_set(tmp_path)
-    (out / "manifest.txt").write_text(f"count 1\n{line}\n")
-    with pytest.raises(FormatError):
+    (out / "manifest.txt").write_text(f"count 1 classes 3\n{line}\n")
+    with pytest.raises(FormatError) as exc:
         scenes.load_dataset(out)
+    assert "header" not in str(exc.value)
 
 
 def test_manifest_count_header_is_checked(tmp_path):
     out = _one_sample_set(tmp_path)
-    body = (out / "manifest.txt").read_text().splitlines()[1]
-    for header in ("count", "count x", "count 1 2", "total 1"):
+    header, body = (out / "manifest.txt").read_text().splitlines()
+    assert header == "count 1 classes 3"
+    assert [s.classes for s in scenes.load_dataset(out)] == [3]
+    for header in ("count classes 3", "count x classes 3", "count 1 2 classes 3", "total 1 classes 3",
+                   "count 1", "count 1 classes", "count 1 classes x", "count 1 classes 2.5",
+                   "count 1 kinds 3", "count 1 classes 3 4"):
         (out / "manifest.txt").write_text(f"{header}\n{body}\n")
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="header"):
             scenes.load_dataset(out)
 
 
@@ -207,7 +212,7 @@ def test_save_rejects_shared_frame_ids(tmp_path):
 def test_manifest_rejects_a_repeated_frame_line(tmp_path):
     out = _one_sample_set(tmp_path)
     body = (out / "manifest.txt").read_text().splitlines()[1]
-    (out / "manifest.txt").write_text(f"count 2\n{body}\n{body}\n")
+    (out / "manifest.txt").write_text(f"count 2 classes 3\n{body}\n{body}\n")
     with pytest.raises(FormatError, match="twice"):
         scenes.load_dataset(out)
 
@@ -225,4 +230,23 @@ def test_tensor_file_beyond_the_flag_count_is_rejected(tmp_path, name):
     out = _one_sample_set(tmp_path)   # two platforms: flags "10"
     (out / name).write_bytes((out / "f00000_view1.dcpt").read_bytes())
     with pytest.raises(FormatError, match=name):
+        scenes.load_dataset(out)
+
+
+def test_save_rejects_samples_that_disagree_on_the_class_count(tmp_path):
+    mixed = [scenes.make_sample(small_spec(), "homo-cis", 0, 1, n_platforms=2),
+             scenes.make_sample(small_spec(classes=4), "homo-cis", 1, 1, n_platforms=2)]
+    assert [s.classes for s in mixed] == [3, 4]
+    with pytest.raises(InputError, match=r"\[3, 4\]"):
+        scenes.save_dataset(mixed, tmp_path / "ds")
+    assert not (tmp_path / "ds").exists()
+
+
+@pytest.mark.parametrize("value", [3.0, -1.0, 1.5])
+def test_mask_ids_outside_the_class_range_are_rejected(tmp_path, value):
+    out = _one_sample_set(tmp_path)   # three classes
+    mask = scenes.load_dataset(out)[0].masks[1].astype(np.float64)
+    mask[2, 5] = value
+    (out / "f00000_mask1.dcpt").write_bytes(tensor_to_bytes(mask))
+    with pytest.raises(FormatError, match="f00000_mask1.dcpt"):
         scenes.load_dataset(out)

@@ -88,7 +88,6 @@ def test_related_feature_is_convex_recombination():
 
 def test_coordinate_channels_follow_weight_shape():
     cfg = small_cfg()
-    assert cfg.attend_coords
     params = rff.init_rff_params(cfg, np.random.default_rng(0))
     c = cfg.feature_channels
     assert params["rff.theta.w"].shape == (c + 2, cfg.embed_channels)
@@ -99,9 +98,10 @@ def test_coordinate_channels_follow_weight_shape():
     assert theta_out.shape == (2, 2, cfg.embed_channels)
     assert g_out.shape == (2, 2, c)
 
-    plain = rff.init_rff_params(small_cfg(attend_coords=False), np.random.default_rng(0))
-    assert plain["rff.theta.w"].shape == (c, cfg.embed_channels)
-    rff.embed_features(f, f, plain)   # both weight shapes are accepted
+    for rows in (c, c + 1, c + 3):   # only the c feature rows plus 2 coordinate rows fit
+        theta = Tensor(np.zeros((rows, cfg.embed_channels)))
+        with pytest.raises(ShapeError, match="2 coordinates"):
+            rff.embed_features(f, f, {**params, "rff.theta.w": theta})
 
 
 def test_identity_init_makes_related_a_blur_of_collab():
@@ -140,6 +140,8 @@ def test_config_guards():
         ModelConfig(embed_channels=16, feature_channels=32)
     with pytest.raises(ConfigError):
         ModelConfig(request_dim=256, qk_dim=128)
+    with pytest.raises(ConfigError):
+        ModelConfig(request_dim=0)   # as read from a checkpoint whose smim.r.w has no columns
     with pytest.raises(ConfigError):
         ModelConfig(view_size=200)   # fusion grid over the cap
     with pytest.raises(ConfigError):
