@@ -8,7 +8,7 @@ Submodules:
 * rff       — cross-attention related-feature fusion
 * scenes    — procedural multi-view dataset factory
 * protocol  — round-based message passing with byte accounting
-* training  — centralized soft-fusion training loop (Adam)
+* training  — one training forward for every method, Adam loop
 * metrics, baselines, harness, reports — evaluation workbench
 * cli       — `dcpnet` command-line interface
 """

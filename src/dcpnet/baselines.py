@@ -1,6 +1,7 @@
-"""Reference fusion policies trained with the same harness.
+"""Reference fusion policies trained and run like DCP-Net.
 
-Each baseline owns its fusion head and is trained by the shared loop;
+Each baseline owns its fusion head, `fuse_baseline`.
+`training.centralized_forward` trains it with the shared loop, and
 `protocol.run_frame` runs it on the victim platform with the same byte
 accounting as the full protocol (centralized policies pull all candidate
 features, random selection pulls exactly one, no-interaction pulls none).
@@ -16,7 +17,6 @@ from .config import ModelConfig
 from .errors import InputError
 from .network import glorot, init_decoder_params, init_encoder_params
 from .scenes import SceneSample
-from .training import supervised_loss
 
 BASELINES = ("no-interaction", "concat-all", "aux-view-attention", "random-selection")
 
@@ -61,7 +61,8 @@ def baseline_partners(kind: str, sample: SceneSample, i: int, seed: int = 0) -> 
     raise InputError(f"unknown baseline {kind!r}")
 
 
-def _fuse_baseline(kind: str, feats: list[Tensor], i: int, partners: list[int], params) -> Tensor:
+def fuse_baseline(kind: str, feats: list[Tensor], i: int, partners: list[int], params) -> Tensor:
+    """Platform i's fused feature grid under baseline `kind`, given the partners it pulls."""
     if kind == "no-interaction":
         return feats[i]
     if kind == "concat-all":
@@ -79,14 +80,3 @@ def _fuse_baseline(kind: str, feats: list[Tensor], i: int, partners: list[int], 
         return ad.add(feats[i], feats[partners[0]])
     raise InputError(f"unknown baseline {kind!r}")
 
-
-def make_baseline_forward(kind: str, seed: int = 0):
-    """Forward function compatible with the shared training loop."""
-
-    def forward(sample: SceneSample, params, cfg: ModelConfig, supervision: str) -> Tensor:
-        def fusion(feats):
-            return lambda i: _fuse_baseline(kind, feats, i, baseline_partners(kind, sample, i, seed), params)
-
-        return supervised_loss(sample, params, supervision, fusion)
-
-    return forward

@@ -88,7 +88,7 @@ def _cmd_gen(args) -> int:
         sep = min(48, args.world_size - args.view_size)
     spec = WorldSpec(
         world_size=args.world_size, view_size=args.view_size, classes=args.classes,
-        min_view_separation=sep, seed=args.seed,
+        min_view_separation=sep,
     )
     samples = scenes.make_dataset(
         spec, args.mode, args.samples, args.seed,
@@ -154,8 +154,7 @@ def _cmd_sweep(args) -> int:
         train_set = scenes.load_dataset(args.train_dataset)
         cfg = harness.model_config(dataset, request_threshold=args.request_threshold)
         tcfg = TrainConfig(lr=args.lr, epochs=args.epochs, seed=args.seed)
-        grid = [int(g) for g in args.grid] if args.grid else (2, 8, 32, 128)
-        rows = harness.sweep_request_size(train_set, dataset, cfg, tcfg, grid)
+        rows = harness.sweep_request_size(train_set, dataset, cfg, tcfg, args.grid or (2, 8, 32, 128))
         harness.sweep_rows_to_csv(rows, args.out, "request_dim")
     print(f"wrote sweep table to {args.out}")
     return 0

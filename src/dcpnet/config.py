@@ -69,9 +69,7 @@ class WorldSpec:
     world_size: int = 128
     view_size: int = 64
     classes: int = 6
-    shape_density: float = 1.0   # expected shapes per 32x32 world patch, roughly
     min_view_separation: int = 48  # Chebyshev distance of partner crops from the first crop
-    seed: int = 0
 
     def __post_init__(self):
         if self.view_size > self.world_size:

@@ -80,8 +80,7 @@ def load_model(method: str, dataset: list[SceneSample], dirpath) -> tuple[ModelC
 def train_method(method: str, train_set: list[SceneSample], cfg: ModelConfig, tcfg: TrainConfig):
     """Fresh init plus the shared training loop; returns (params, loss curve)."""
     params = init_params(method, cfg, tcfg.seed)
-    forward = None if method == "dcp-net" else bl.make_baseline_forward(method, tcfg.seed)
-    return params, train(train_set, params, cfg, tcfg, forward_fn=forward)
+    return params, train(train_set, params, cfg, tcfg, method)
 
 
 def _record(method, dataset, results, ledger, cfg, baseline_avg_miou, comm_accounting) -> mt.MetricsRecord:
@@ -222,6 +221,9 @@ def sweep_request_size(
     """Retrain the request pathway per request size, then evaluate."""
     if model_config(train_set) != model_config(val_set):
         raise InputError("the training and validation sets differ in platform count, view size or classes")
+    for r in grid:
+        if not float(r).is_integer():
+            raise InputError(f"request size {r} is not a whole number")
     rows = []
     for r in grid:
         cfg_r = replace(cfg, request_dim=int(r))  # raises ConfigError when r > qk dim

@@ -217,7 +217,7 @@ def run_frame(
                              requested=bool(received))
         elif i == sample.victim:
             pulled = [received.get(j, f) for j, f in enumerate(feats)]
-            fused = bl._fuse_baseline(method, pulled, i, list(received), params)
+            fused = bl.fuse_baseline(method, pulled, i, list(received), params)
         else:
             fused = feats[i]
         predictions.append(predict_segmentation(fused, params))

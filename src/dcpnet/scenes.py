@@ -30,6 +30,9 @@ from .tensorio import load_tensor, read_manifest, save_tensor
 
 MODES = ("homo-cis", "homo-pis", "hetero-pis")
 
+SHAPE_DENSITY = 1.0  # expected shapes per 32x32 world patch, roughly
+DEGRADE_PROB = 0.5   # chance that a sample's victim view is degraded
+
 # fixed palette: one anchor color per class, background first
 _PALETTE = np.array(
     [
@@ -68,18 +71,17 @@ def _f32(arr: np.ndarray) -> np.ndarray:
     return arr.astype(np.float32).astype(np.float64)
 
 
-def generate_world(spec: WorldSpec, rng: np.random.Generator | None = None):
-    """Paint one world: returns (image H x W x 3, mask H x W)."""
+def generate_world(spec: WorldSpec, rng: np.random.Generator):
+    """Paint one world from `rng`: returns (image H x W x 3, mask H x W)."""
     if spec.classes > len(_PALETTE):
         raise ConfigError(f"at most {len(_PALETTE)} classes supported by the palette")
-    rng = np.random.default_rng(spec.seed) if rng is None else rng
     n = spec.world_size
     image = np.empty((n, n, 3))
     image[:] = _PALETTE[0]
     image += rng.normal(0.0, 0.02, size=image.shape)
     mask = np.zeros((n, n), dtype=np.int64)
 
-    n_shapes = rng.poisson(spec.shape_density * (n / 32) ** 2) if spec.shape_density > 0 else 0
+    n_shapes = rng.poisson(SHAPE_DENSITY * (n / 32) ** 2)
     yy, xx = np.mgrid[0:n, 0:n]
     for _ in range(n_shapes):
         cls = int(rng.integers(1, spec.classes))
@@ -181,7 +183,6 @@ def make_sample(
     n_platforms: int = 4,
     noise_kinds: tuple[str, ...] = ("gaussian", "occlusion"),
     noise_strength: float = 0.72,
-    degrade_prob: float = 0.5,
 ) -> SceneSample:
     """Build one sample deterministically from (seed, frame)."""
     if mode not in MODES:
@@ -195,7 +196,7 @@ def make_sample(
     victim = 0
     clean_view = views[victim].copy()
     degraded = [False] * n_platforms
-    if rng.random() < degrade_prob:
+    if rng.random() < DEGRADE_PROB:
         degraded[victim] = True
         for kind in noise_kinds:
             views[victim] = degrade(views[victim], NoiseConfig(kind, noise_strength), rng)

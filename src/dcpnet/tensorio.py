@@ -17,6 +17,7 @@ import numpy as np
 from .errors import FormatError
 
 MAGIC = b"DCPT"
+MANIFEST = "manifest.txt"  # key -> file list of a tensor directory
 
 
 def tensor_to_bytes(arr: np.ndarray) -> bytes:
@@ -55,7 +56,7 @@ def load_tensor(path) -> np.ndarray:
     return tensor_from_bytes(Path(path).read_bytes())
 
 
-def save_tensor_dict(dirpath, tensors: dict[str, np.ndarray], manifest_name: str = "manifest.txt") -> None:
+def save_tensor_dict(dirpath, tensors: dict[str, np.ndarray]) -> None:
     """Write a named set of tensors: a text manifest (key -> file) plus
     one DCPT file per tensor."""
     d = Path(dirpath)
@@ -65,7 +66,7 @@ def save_tensor_dict(dirpath, tensors: dict[str, np.ndarray], manifest_name: str
         fname = key.replace("/", "_") + ".dcpt"
         save_tensor(d / fname, tensors[key])
         lines.append(f"{key} {fname}")
-    (d / manifest_name).write_text("\n".join(lines) + "\n")
+    (d / MANIFEST).write_text("\n".join(lines) + "\n")
 
 
 def read_manifest(path) -> list[str]:
@@ -79,10 +80,10 @@ def read_manifest(path) -> list[str]:
         raise FormatError(f"manifest {path} is not UTF-8 text") from exc
 
 
-def load_tensor_dict(dirpath, manifest_name: str = "manifest.txt") -> dict[str, np.ndarray]:
+def load_tensor_dict(dirpath) -> dict[str, np.ndarray]:
     d = Path(dirpath)
     out: dict[str, np.ndarray] = {}
-    for line in read_manifest(d / manifest_name):
+    for line in read_manifest(d / MANIFEST):
         if not line.strip():
             continue
         try:
@@ -90,7 +91,7 @@ def load_tensor_dict(dirpath, manifest_name: str = "manifest.txt") -> dict[str, 
         except ValueError as exc:
             raise FormatError(f"malformed manifest line {line!r}") from exc
         if key in out:
-            raise FormatError(f"key {key!r} is listed twice in {d / manifest_name}")
+            raise FormatError(f"key {key!r} is listed twice in {d / MANIFEST}")
         if Path(fname).name != fname or not (d / fname).is_file():
             raise FormatError(f"missing tensor file {d / fname} listed for {key!r}")
         out[key] = load_tensor(d / fname)

@@ -1,10 +1,10 @@
-"""Centralized training: soft all-candidate fusion, Adam, seeded loop.
+"""Centralized training: one forward for every method, Adam, seeded loop.
 
-During training no thresholds are applied: every supervised platform
-fuses related features from all candidates, weighted by its confidence
-and the soft match scores, and the only supervision is the downstream
-segmentation loss.  Inference-time gating then falls out of the learned
-confidence and match scores.
+During training no thresholds are applied: every supervised DCP-Net
+platform fuses related features from all candidates, weighted by its
+confidence and the soft match scores, and the only supervision is the
+downstream segmentation loss.  Inference-time gating then falls out of
+the learned confidence and match scores.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from . import baselines as bl
 from . import rff, smim
 from .autodiff import Tensor
 from .config import ModelConfig
@@ -21,23 +22,24 @@ from .errors import ConfigError, ContractError, InputError
 from .network import decode_segmentation, encode_view
 from .scenes import SceneSample
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # moment decays, denominator floor
+
 
 @dataclass
 class TrainConfig:
     lr: float = 2e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     epochs: int = 20
     batch_size: int = 2
     seed: int = 0
     supervision: str = "victim_only"   # victim_only | all_platforms
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ConfigError("learning rate must be positive")
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ConfigError("adam betas must lie in (0, 1)")
+        if not 0 < self.lr < np.inf:
+            raise ConfigError(f"learning rate must be finite and positive, got {self.lr}")
+        if self.epochs < 0:
+            raise ConfigError(f"epoch count must not be negative, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch size must be at least 1, got {self.batch_size}")
         if self.supervision not in ("victim_only", "all_platforms"):
             raise ConfigError(f"unknown supervision target {self.supervision!r}")
 
@@ -52,10 +54,9 @@ class Adam:
         self.t = 0
 
     def step(self, params: dict[str, Tensor]) -> None:
-        c = self.cfg
         self.t += 1
-        bc1 = 1.0 - c.beta1**self.t
-        bc2 = 1.0 - c.beta2**self.t
+        bc1 = 1.0 - ADAM_BETA1**self.t
+        bc2 = 1.0 - ADAM_BETA2**self.t
         for name in sorted(params):
             p = params[name]
             g = p.grad
@@ -66,42 +67,16 @@ class Adam:
             if name not in self.m:
                 self.m[name] = np.zeros_like(p.data)
                 self.v[name] = np.zeros_like(p.data)
-            self.m[name] = c.beta1 * self.m[name] + (1 - c.beta1) * g
-            self.v[name] = c.beta2 * self.v[name] + (1 - c.beta2) * g * g
+            self.m[name] = ADAM_BETA1 * self.m[name] + (1 - ADAM_BETA1) * g
+            self.v[name] = ADAM_BETA2 * self.v[name] + (1 - ADAM_BETA2) * g * g
             mhat = self.m[name] / bc1
             vhat = self.v[name] / bc2
-            p.data = p.data - c.lr * mhat / (np.sqrt(vhat) + c.eps)
+            p.data = p.data - self.cfg.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 def zero_grad(params: dict[str, Tensor]) -> None:
     for p in params.values():
         p.grad = None
-
-
-def supervised_loss(sample: SceneSample, params: dict[str, Tensor], supervision: str, fusion) -> Tensor:
-    """Summed cross-entropy over the supervised platforms of one sample.
-
-    Every view is encoded first; `fusion(feats)` then returns `fuse(i)`,
-    platform i's fused feature grid.  The fusion is the only part that
-    differs between DCP-Net and the baselines.
-    """
-    n = sample.n_platforms
-    feats = [encode_view(Tensor(sample.views[i], requires_grad=False), params) for i in range(n)]
-    fuse = fusion(feats)
-
-    if supervision == "victim_only":
-        supervised = [sample.victim]
-    elif supervision == "all_platforms":
-        supervised = list(range(n))
-    else:
-        raise InputError(f"unknown supervision target {supervision!r}")
-
-    loss = None
-    for i in supervised:
-        logits = decode_segmentation(fuse(i), params)
-        term = ad.cross_entropy(logits, sample.masks[i])
-        loss = term if loss is None else ad.add(loss, term)
-    return loss
 
 
 def soft_fusion(feats: list[Tensor], params: dict[str, Tensor]):
@@ -129,9 +104,36 @@ def centralized_forward(
     params: dict[str, Tensor],
     cfg: ModelConfig,
     supervision: str = "victim_only",
+    method: str = "dcp-net",
+    seed: int = 0,
 ) -> Tensor:
-    """Soft fused loss over the supervised platforms of one sample."""
-    return supervised_loss(sample, params, supervision, lambda feats: soft_fusion(feats, params))
+    """Summed cross-entropy over the supervised platforms of one sample under `method`.
+
+    Every view is encoded first.  DCP-Net then fuses every candidate with
+    soft match scores; a baseline fuses its regime's partners, and random
+    selection draws them from (`seed`, frame, platform) as inference does.
+    """
+    n = sample.n_platforms
+    if supervision == "victim_only":
+        supervised = [sample.victim]
+    elif supervision == "all_platforms":
+        supervised = list(range(n))
+    else:
+        raise InputError(f"unknown supervision target {supervision!r}")
+
+    feats = [encode_view(Tensor(sample.views[i], requires_grad=False), params) for i in range(n)]
+    if method == "dcp-net":
+        fuse = soft_fusion(feats, params)
+    else:
+        def fuse(i: int) -> Tensor:
+            return bl.fuse_baseline(method, feats, i, bl.baseline_partners(method, sample, i, seed), params)
+
+    loss = None
+    for i in supervised:
+        logits = decode_segmentation(fuse(i), params)
+        term = ad.cross_entropy(logits, sample.masks[i])
+        loss = term if loss is None else ad.add(loss, term)
+    return loss
 
 
 @dataclass
@@ -158,18 +160,19 @@ def train(
     params: dict[str, Tensor],
     cfg: ModelConfig,
     tcfg: TrainConfig,
-    forward_fn=None,
+    method: str = "dcp-net",
     on_epoch_end=None,
 ) -> LossCurve:
-    """Seeded mini-batch loop; mutates `params` in place.
+    """Seeded mini-batch loop of `method` ("dcp-net" or a baseline); mutates `params` in place.
 
-    `forward_fn(sample, params, cfg, supervision) -> scalar Tensor` lets
-    baseline fusion heads reuse the same harness.  `on_epoch_end(epoch,
-    params)` is the hook for checkpointing / validation.
+    Each sample's loss is `centralized_forward` under `tcfg.supervision`
+    and `tcfg.seed`.  `on_epoch_end(epoch, params)` is the hook for
+    checkpointing / validation.
     """
+    if method != "dcp-net" and method not in bl.BASELINES:
+        raise InputError(f"unknown method {method!r}, expected dcp-net or one of {bl.BASELINES}")
     if not dataset and tcfg.epochs > 0:
         raise InputError("empty training set")
-    fwd = forward_fn or centralized_forward
     opt = Adam(tcfg)
     curve = LossCurve()
     step = 0
@@ -180,7 +183,7 @@ def train(
             zero_grad(params)
             total = 0.0
             for sample in batch:
-                loss = fwd(sample, params, cfg, tcfg.supervision)
+                loss = centralized_forward(sample, params, cfg, tcfg.supervision, method, tcfg.seed)
                 ad.backward(loss)
                 total += loss.item()
             for p in params.values():

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from dcpnet import cli
+from dcpnet import cli, harness
 
 BENCH_CHECKPOINT = Path(__file__).resolve().parents[1] / "benchmarks" / "checkpoint"
 
@@ -260,3 +260,36 @@ def test_metrics_value_types_are_checked(tmp_path, capsys, field, value):
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error: ") and repr(field) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", [
+    pytest.param(["--batch-size", "0"], id="batch-size-0"),
+    pytest.param(["--epochs", "-1"], id="negative-epochs"),
+    pytest.param(["--lr", "nan"], id="nan-lr"),
+])
+def test_bad_training_settings_are_typed_errors(tmp_path, capsys, flag):
+    ds, ckpt = tmp_path / "ds", tmp_path / "ckpt"
+    assert _gen_small(ds, 2) == 0
+    capsys.readouterr()
+    rc = cli.main(["train", "--dataset", str(ds), "--ckpt", str(ckpt), "--epochs", "1", *flag])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("grid", [["nan"], ["2", "2.7"]], ids=["nan", "fraction"])
+def test_request_size_grid_must_hold_whole_numbers(tmp_path, capsys, monkeypatch, grid):
+    def reached(*args, **kwargs):
+        raise AssertionError("a request size was trained before the grid was checked")
+
+    ds = tmp_path / "ds"
+    assert _gen_small(ds, 2) == 0
+    monkeypatch.setattr(harness, "train_method", reached)
+    capsys.readouterr()
+    rc = cli.main(["sweep", "--kind", "request-size", "--dataset", str(ds), "--train-dataset", str(ds),
+                   "--grid", *grid, "--epochs", "1", "--out", str(tmp_path / "s.csv")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and f"request size {float(grid[-1])} " in err
+    assert not (tmp_path / "s.csv").exists()

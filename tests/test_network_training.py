@@ -61,12 +61,11 @@ def test_adam_rejects_nonfinite_gradients():
 
 
 def test_train_config_validation():
-    with pytest.raises(ConfigError):
-        TrainConfig(lr=0.0)
-    with pytest.raises(ConfigError):
-        TrainConfig(beta1=1.0)
-    with pytest.raises(ConfigError):
-        TrainConfig(supervision="sometimes")
+    for bad in (dict(lr=0.0), dict(lr=float("nan")), dict(lr=float("inf")), dict(epochs=-1),
+                dict(batch_size=0), dict(supervision="sometimes")):
+        with pytest.raises(ConfigError):
+            TrainConfig(**bad)
+    TrainConfig(epochs=0)
 
 
 def test_training_reduces_loss_and_is_deterministic():
@@ -110,7 +109,7 @@ def test_baseline_forwards_run_and_train():
     tcfg = TrainConfig(lr=1e-2, epochs=1, batch_size=2, seed=0)
     for kind in bl.BASELINES:
         params = bl.init_baseline_params(kind, cfg, 0)
-        curve = training.train(data, params, cfg, tcfg, forward_fn=bl.make_baseline_forward(kind, 0))
+        curve = training.train(data, params, cfg, tcfg, method=kind)
         assert all(np.isfinite(v) for v in curve.losses)
         results, ledger = pr.run_frames(data, params, cfg, kind)
         assert len(results) == 4
@@ -118,6 +117,25 @@ def test_baseline_forwards_run_and_train():
             assert ledger.total_wire_bytes == 0
         else:
             assert ledger.counts()["grant"] > 0
+
+
+def test_unknown_method_is_rejected_before_training():
+    cfg = small_cfg()
+    data = scenes.make_dataset(small_spec(), "homo-cis", 2, seed=0, n_platforms=2)
+    params = harness.init_dcp_params(cfg, 0)
+    before = {k: v.data.copy() for k, v in params.items()}
+    for epochs in (0, 1):
+        with pytest.raises(InputError, match="unknown method 'telepathy'"):
+            training.train(data, params, cfg, TrainConfig(epochs=epochs), method="telepathy")
+    for k, v in params.items():
+        assert np.array_equal(v.data, before[k]) and v.grad is None
+
+
+def test_baselines_do_not_depend_on_training():
+    # training imports baselines for their fusion heads, never the reverse
+    for value in vars(bl).values():
+        assert value is not training
+        assert getattr(value, "__module__", None) != training.__name__
 
 
 def test_baseline_grant_counts_follow_regime():
@@ -172,9 +190,8 @@ def test_all_platforms_supervision_trains_every_method():
     tcfg = TrainConfig(lr=1e-2, epochs=1, batch_size=2, seed=0, supervision="all_platforms")
     for method in ("dcp-net",) + bl.BASELINES:
         params = harness.init_params(method, cfg, 0)
-        forward = training.centralized_forward if method == "dcp-net" else bl.make_baseline_forward(method, 0)
-        loss = forward(data[0], params, cfg, "all_platforms")
-        victim_loss = forward(data[0], params, cfg, "victim_only")
+        loss = training.centralized_forward(data[0], params, cfg, "all_platforms", method=method)
+        victim_loss = training.centralized_forward(data[0], params, cfg, "victim_only", method=method)
         assert np.isfinite(loss.item()) and loss.item() > victim_loss.item()
         ad.backward(loss)
         for key in ("dec.head.w", "dec.head.b"):
@@ -188,7 +205,6 @@ def test_random_selection_fuses_the_granted_partner():
     cfg = small_cfg(n_platforms=4)
     data = scenes.make_dataset(small_spec(), "homo-pis", 12, seed=0, n_platforms=4)
     params = bl.init_baseline_params("random-selection", cfg, 0)
-    forward = bl.make_baseline_forward("random-selection", 3)
     distinguishable = 0
     for sample in data:
         res = pr.run_frame(sample, params, cfg, "random-selection", seed=3)
@@ -205,7 +221,8 @@ def test_random_selection_fuses_the_granted_partner():
         }
         # training fuses the same partner
         expected = ad.cross_entropy(logits[src], sample.masks[sample.victim]).item()
-        assert forward(sample, params, cfg, "victim_only").item() == expected
+        loss = training.centralized_forward(sample, params, cfg, "victim_only", method="random-selection", seed=3)
+        assert loss.item() == expected
         others = [ad.cross_entropy(logits[j], sample.masks[sample.victim]).item() for j in logits if j != src]
         distinguishable += expected not in others
     assert distinguishable == len(data)
