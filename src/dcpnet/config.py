@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -72,6 +73,8 @@ class WorldSpec:
     min_view_separation: int = 48  # Chebyshev distance of partner crops from the first crop
 
     def __post_init__(self):
+        if self.view_size < 1:
+            raise ConfigError(f"view size {self.view_size} is not positive")
         if self.view_size > self.world_size:
             raise ConfigError(f"view {self.view_size} larger than world {self.world_size}")
         if self.classes < 2:
@@ -93,3 +96,5 @@ class NoiseConfig:
     def __post_init__(self):
         if self.kind not in ("gaussian", "occlusion", "blur"):
             raise ConfigError(f"unknown noise kind {self.kind!r}")
+        if not (math.isfinite(self.strength) and self.strength >= 0):
+            raise ConfigError(f"noise strength {self.strength} is not a finite value >= 0")

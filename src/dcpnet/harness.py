@@ -83,21 +83,24 @@ def train_method(method: str, train_set: list[SceneSample], cfg: ModelConfig, tc
     return params, train(train_set, params, cfg, tcfg, method)
 
 
-def _record(method, dataset, results, ledger, cfg, baseline_avg_miou, comm_accounting) -> mt.MetricsRecord:
-    """Victim-split, per-platform and communication metrics of one evaluated method."""
+def _record(method, dataset, params, cfg, baseline_avg_miou, comm_accounting, seed=0):
+    """Run every frame of `dataset` under `method`: the victim-split, per-platform and
+    communication metrics, and the frame results."""
     if not dataset:
         raise InputError(f"cannot evaluate {method} on an empty dataset")
+    results = [pr.run_frame(s, params, cfg, method, seed) for s in dataset]
     preds = [r.predictions for r in results]
     noisy, normal, avg = mt.split_miou(preds, dataset, dataset[0].victim, cfg.classes)
     per_platform = [
         mt.miou([p[i] for p in preds], [s.masks[i] for s in dataset], cfg.classes)
         for i in range(dataset[0].n_platforms)
     ]
+    ledger = pr.CommLedger([e for r in results for e in r.ledger.entries])
     comm = pr.mbpf(ledger, len(dataset), comm_accounting)
     ce = None
     if baseline_avg_miou is not None:
         ce = mt.collaboration_efficiency(avg, baseline_avg_miou, comm)
-    return mt.MetricsRecord(method, noisy, normal, avg, per_platform, comm, ce)
+    return mt.MetricsRecord(method, noisy, normal, avg, per_platform, comm, ce), results
 
 
 def evaluate_dcp(
@@ -107,8 +110,7 @@ def evaluate_dcp(
     baseline_avg_miou: float | None = None,
     comm_accounting: str = "feature_only",
 ) -> tuple[mt.MetricsRecord, list[pr.FrameResult]]:
-    results, ledger = pr.run_frames(dataset, params, cfg)
-    record = _record("dcp-net", dataset, results, ledger, cfg, baseline_avg_miou, comm_accounting)
+    record, results = _record("dcp-net", dataset, params, cfg, baseline_avg_miou, comm_accounting)
     if dataset[0].mode == "homo-cis":
         record.detect_acc, record.select_acc = mt.selection_accuracy([r.states for r in results], dataset)
     return record, results
@@ -126,8 +128,7 @@ def evaluate(
     """Any method through the protocol; DCP-Net also scores its selection accuracy."""
     if method == "dcp-net":
         return evaluate_dcp(dataset, params, cfg, baseline_avg_miou, comm_accounting)
-    results, ledger = pr.run_frames(dataset, params, cfg, method, seed)
-    return _record(method, dataset, results, ledger, cfg, baseline_avg_miou, comm_accounting), results
+    return _record(method, dataset, params, cfg, baseline_avg_miou, comm_accounting, seed)
 
 
 # the methods each budgeted experiment compares; the first is the CE referent

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -89,36 +88,27 @@ def decode_feature_payload(msg: ProtocolMessage, shape) -> np.ndarray:
 
 @dataclass
 class CommLedger:
-    """Per-message byte log; feature payloads separable from control plane."""
+    """One (frame, src, dst, kind, wire bytes) entry per message; byte totals come from the entries."""
 
     entries: list[tuple[int, int, int, int, int]] = field(default_factory=list)
-    feature_payload_bytes: int = 0
-    total_wire_bytes: int = 0
 
     def log(self, msg: ProtocolMessage) -> None:
         self.entries.append((msg.frame, msg.src, msg.dst, msg.kind, msg.wire_bytes))
-        self.total_wire_bytes += msg.wire_bytes
-        if msg.kind == KIND_GRANT:
-            self.feature_payload_bytes += len(msg.payload)
 
-    def merge(self, other: "CommLedger") -> None:
-        self.entries.extend(other.entries)
-        self.feature_payload_bytes += other.feature_payload_bytes
-        self.total_wire_bytes += other.total_wire_bytes
+    @property
+    def total_wire_bytes(self) -> int:
+        return sum(e[4] for e in self.entries)
+
+    @property
+    def feature_payload_bytes(self) -> int:
+        """Grant payloads only, without their headers: the feature plane."""
+        return sum(e[4] - HEADER_BYTES for e in self.entries if e[3] == KIND_GRANT)
 
     def counts(self) -> dict[str, int]:
         out = {name: 0 for name in KIND_NAMES.values()}
         for _, _, _, kind, _ in self.entries:
             out[KIND_NAMES[kind]] += 1
         return out
-
-    def to_csv(self, path) -> None:
-        lines = ["frame,src,dst,kind,bytes"]
-        lines += [
-            f"{frame},{src},{dst},{KIND_NAMES[kind]},{nbytes}"
-            for frame, src, dst, kind, nbytes in self.entries
-        ]
-        Path(path).write_text("\n".join(lines) + "\n")
 
 
 def mbpf(ledger: CommLedger, frames: int, mode: str = "feature_only") -> float:
@@ -167,14 +157,12 @@ def run_frame(
         pulls = {sample.victim: bl.baseline_partners(method, sample, sample.victim, seed)}
     else:
         # phase 2: self-information decisions
-        states = []
+        states, keys = [], []
         for i in range(n):
             q, k = smim.encode_query_key(feats[i], params)
             p = smim.self_confidence(q, k).item()
-            st = smim.SmimState(q=q.data, k=k.data, confidence=p)
-            st.requested = smim.decide_request(p, cfg)
-            states.append(st)
-        keys = [Tensor(st.k) for st in states]
+            states.append(smim.SmimState(confidence=p, requested=smim.decide_request(p, cfg)))
+            keys.append(k)
 
         # phase 3: request broadcast and relevance replies
         for i in range(n):
@@ -182,7 +170,6 @@ def run_frame(
             if not st.requested:
                 continue
             r = smim.encode_request(feats[i], params)
-            st.r = r.data
             replies: dict[int, Tensor] = {}
             for j in range(n):
                 if j == i:
@@ -198,7 +185,7 @@ def run_frame(
                 replies[j] = Tensor(float(rel_wire))
             scores = smim.match_scores(replies)
             st.scores = {j: s.item() for j, s in scores.items()}
-            st.supporters = smim.select_supporters(st.scores, n, requested=True)
+            st.supporters = smim.select_supporters(st.scores, n)
         pulls = {i: sorted(st.supporters) for i, st in enumerate(states) if st.requested}
 
     # phase 4: feature grants, fusion, decoding
@@ -222,23 +209,3 @@ def run_frame(
             fused = feats[i]
         predictions.append(predict_segmentation(fused, params))
     return FrameResult(predictions, states, ledger)
-
-
-def run_frames(
-    samples: list[SceneSample],
-    params: dict[str, Tensor],
-    cfg: ModelConfig,
-    method: str = "dcp-net",
-    seed: int = 0,
-) -> tuple[list[FrameResult], CommLedger]:
-    """Run every frame under `method`; returns the results and their merged ledger."""
-    results = [run_frame(s, params, cfg, method, seed) for s in samples]
-    return results, merge_ledgers(results)
-
-
-def merge_ledgers(results: list[FrameResult]) -> CommLedger:
-    """One ledger holding every frame's messages, in frame order."""
-    ledger = CommLedger()
-    for res in results:
-        ledger.merge(res.ledger)
-    return ledger

@@ -187,6 +187,7 @@ def make_sample(
     """Build one sample deterministically from (seed, frame)."""
     if mode not in MODES:
         raise InputError(f"unknown mode {mode!r}, expected one of {MODES}")
+    noises = [NoiseConfig(kind, noise_strength) for kind in noise_kinds]  # checked before any draw
     rng = np.random.default_rng((seed, frame))
     image, mask = generate_world(spec, rng)
     views, masks, _ = crop_views(
@@ -198,8 +199,8 @@ def make_sample(
     degraded = [False] * n_platforms
     if rng.random() < DEGRADE_PROB:
         degraded[victim] = True
-        for kind in noise_kinds:
-            views[victim] = degrade(views[victim], NoiseConfig(kind, noise_strength), rng)
+        for noise in noises:
+            views[victim] = degrade(views[victim], noise, rng)
 
     clean_twin = None
     if mode == "homo-cis":
@@ -222,6 +223,8 @@ def make_dataset(
     n_platforms: int = 4,
     **kwargs,
 ) -> list[SceneSample]:
+    if n_samples < 0:
+        raise InputError(f"sample count {n_samples} is negative")
     return [
         make_sample(spec, mode, frame, seed, n_platforms=n_platforms, **kwargs)
         for frame in range(n_samples)

@@ -25,9 +25,6 @@ from .network import glorot
 class SmimState:
     """Per-platform decision state for one frame."""
 
-    q: np.ndarray | None = None
-    k: np.ndarray | None = None
-    r: np.ndarray | None = None
     confidence: float = 0.0          # p_i = sigmoid(q . k)
     scores: dict[int, float] = field(default_factory=dict)
     requested: bool = False
@@ -108,15 +105,13 @@ def match_scores(relevances: dict[int, Tensor]) -> dict[int, Tensor]:
     return {j: ad.take1d(probs, i) for i, j in enumerate(ids)}
 
 
-def select_supporters(scores: dict[int, float], n_platforms: int, requested: bool = True) -> frozenset[int]:
-    """Candidates whose score strictly exceeds 1/(N-1).
+def select_supporters(scores: dict[int, float], n_platforms: int) -> frozenset[int]:
+    """Candidates of a requesting platform whose score strictly exceeds 1/(N-1).
 
     With N=2 the threshold is 1.0 and the sole candidate's score is
     exactly 1, which can never strictly exceed it; in that degenerate
-    case the sole candidate is selected whenever a request was issued.
+    case the sole candidate is selected.
     """
-    if not requested:
-        return frozenset()
     thresh = 1.0 / (n_platforms - 1)
     chosen = frozenset(j for j, s in scores.items() if s > thresh)
     if not chosen and n_platforms == 2 and len(scores) == 1:

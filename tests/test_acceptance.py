@@ -115,9 +115,9 @@ def test_c5_no_request_equals_no_interaction_bitwise():
     spec = small_spec()
     params = harness.init_dcp_params(cfg, seed=3)
     samples = scenes.make_dataset(spec, "homo-cis", 8, seed=3, n_platforms=2)
-    results, ledger = pr.run_frames(samples, params, cfg)
-    assert ledger.total_wire_bytes == 0
-    for res, sample in zip(results, samples):
+    for sample in samples:
+        res = pr.run_frame(sample, params, cfg)
+        assert res.ledger.total_wire_bytes == 0
         for i in range(sample.n_platforms):
             feats = encode_view(Tensor(sample.views[i]), params)
             local = np.argmax(decode_segmentation(feats, params).data, axis=2)
@@ -131,12 +131,12 @@ def test_c6_threaded_inference_is_bitwise_deterministic():
     spec = small_spec()
     params = harness.init_dcp_params(cfg, seed=11)
     samples = scenes.make_dataset(spec, "homo-cis", 100, seed=11, n_platforms=3)
-    serial, serial_ledger = pr.run_frames(samples, params, cfg)
+    serial = [pr.run_frame(s, params, cfg) for s in samples]
     with ThreadPoolExecutor(max_workers=8) as pool:
         threaded = list(pool.map(lambda s: pr.run_frame(s, params, cfg), samples))
-    threaded_ledger = pr.merge_ledgers(threaded)
-    assert serial_ledger.entries == threaded_ledger.entries
+    assert len(serial) == len(threaded) == len(samples)
     for a, b in zip(serial, threaded):
+        assert a.ledger.entries == b.ledger.entries
         for pa, pb in zip(a.predictions, b.predictions):
             assert np.array_equal(pa, pb)
 

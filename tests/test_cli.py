@@ -89,6 +89,22 @@ def test_cli_surfaces_typed_errors_as_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flags", [
+    pytest.param(["--samples", "8", "--noise-strength", "-1"], id="negative-noise"),
+    pytest.param(["--samples", "8", "--noise-strength", "nan"], id="nan-noise"),
+    pytest.param(["--view-size", "0", "--samples", "4"], id="zero-view-size"),
+    pytest.param(["--samples", "-3"], id="negative-samples"),
+])
+def test_gen_rejects_bad_settings_before_writing(tmp_path, capsys, flags):
+    ds = tmp_path / "ds"
+    rc = cli.main(["gen", "--mode", "homo-cis", "--seed", "4", "--out", str(ds), "--world-size", "32",
+                   "--view-size", "16", "--classes", "3", "--platforms", "2", *flags])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (ds / "manifest.txt").exists()
+
+
 def test_checkpoint_must_fit_the_dataset(tmp_path, capsys):
     ds, five = tmp_path / "ds", tmp_path / "five"
     assert _gen_small(ds, 2) == 0

@@ -111,12 +111,12 @@ def test_baseline_forwards_run_and_train():
         params = bl.init_baseline_params(kind, cfg, 0)
         curve = training.train(data, params, cfg, tcfg, method=kind)
         assert all(np.isfinite(v) for v in curve.losses)
-        results, ledger = pr.run_frames(data, params, cfg, kind)
+        results = [pr.run_frame(s, params, cfg, kind) for s in data]
         assert len(results) == 4
         if kind == "no-interaction":
-            assert ledger.total_wire_bytes == 0
+            assert sum(r.ledger.total_wire_bytes for r in results) == 0
         else:
-            assert ledger.counts()["grant"] > 0
+            assert sum(r.ledger.counts()["grant"] for r in results) > 0
 
 
 def test_unknown_method_is_rejected_before_training():
@@ -144,8 +144,8 @@ def test_baseline_grant_counts_follow_regime():
     data = scenes.make_dataset(spec, "homo-cis", 2, seed=0, n_platforms=3)
     for kind, per_frame in (("concat-all", 2), ("aux-view-attention", 2), ("random-selection", 1)):
         params = bl.init_baseline_params(kind, cfg, 0)
-        _, ledger = pr.run_frames(data, params, cfg, kind)
-        assert ledger.counts()["grant"] == per_frame * len(data)
+        grants = [pr.run_frame(s, params, cfg, kind).ledger.counts()["grant"] for s in data]
+        assert sum(grants) == per_frame * len(data)
 
 
 def test_empty_evaluation_set_is_rejected():

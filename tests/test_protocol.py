@@ -1,5 +1,6 @@
 """Wire format, ledger accounting, and frame execution."""
 
+import dataclasses
 import struct
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -62,16 +63,6 @@ def test_ledger_counts_and_accounting_modes():
         pr.mbpf(ledger, 1, "bogus")
 
 
-def test_ledger_csv(tmp_path):
-    ledger = pr.CommLedger()
-    ledger.log(pr.relevance_message(1, 0, 4, 0.5))
-    path = tmp_path / "ledger.csv"
-    ledger.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "frame,src,dst,kind,bytes"
-    assert lines[1] == f"4,1,0,relevance,{pr.HEADER_BYTES + 4}"
-
-
 def test_run_frame_message_pattern():
     cfg = small_cfg(n_platforms=3, request_threshold=1.0)   # everyone asks
     spec = small_spec()
@@ -106,15 +97,19 @@ def test_no_requests_means_no_bytes_and_local_predictions():
         assert np.array_equal(res.predictions[i], local)
 
 
-def test_run_frames_merges_ledgers_in_frame_order():
-    cfg = small_cfg(request_threshold=1.0)
-    spec = small_spec()
+def test_frame_ledgers_hold_their_own_frame_and_sum_to_mbpf():
+    cfg = small_cfg(request_threshold=1.0)   # both platforms request and pull
     params = harness.init_dcp_params(cfg, seed=0)
-    samples = scenes.make_dataset(spec, "homo-cis", 3, seed=0, n_platforms=2)
-    results, ledger = pr.run_frames(samples, params, cfg)
-    frames = [e[0] for e in ledger.entries]
-    assert frames == sorted(frames)
-    assert ledger.total_wire_bytes == sum(r.ledger.total_wire_bytes for r in results)
+    samples = scenes.make_dataset(small_spec(), "homo-cis", 3, seed=0, n_platforms=2)
+    results = [pr.run_frame(s, params, cfg) for s in samples]
+    for res, sample in zip(results, samples):
+        assert res.ledger.entries and {e[0] for e in res.ledger.entries} == {sample.frame}
+    for accounting, total in (("feature_only", "feature_payload_bytes"), ("total", "total_wire_bytes")):
+        record, _ = harness.evaluate("dcp-net", samples, params, cfg, comm_accounting=accounting)
+        summed = sum(getattr(r.ledger, total) for r in results)
+        assert summed > 0
+        assert record.comm_cost_mbpf == summed / len(samples) / 2**20
+    assert [f.name for f in dataclasses.fields(pr.CommLedger)] == ["entries"]
 
 
 def test_run_frame_builds_no_graph(monkeypatch):

@@ -115,6 +115,23 @@ def test_worldspec_validation():
         WorldSpec(world_size=32, view_size=64)
     with pytest.raises(ConfigError):
         WorldSpec(world_size=128, view_size=64, min_view_separation=100)
+    with pytest.raises(ConfigError, match="view size 0"):
+        WorldSpec(world_size=32, view_size=0, min_view_separation=0)
+
+
+def test_bad_noise_strength_and_sample_count_fail_before_generation():
+    degraded = [scenes.make_sample(small_spec(), "homo-cis", f, 0, n_platforms=2).degraded[0] for f in range(4)]
+    assert True in degraded and False in degraded
+    for strength in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="noise strength"):
+            NoiseConfig("gaussian", strength)
+        # rejected on every frame, whether or not its victim view would be degraded
+        for frame in range(4):
+            with pytest.raises(ConfigError, match="noise strength"):
+                scenes.make_sample(small_spec(), "homo-cis", frame, 0, n_platforms=2, noise_strength=strength)
+    assert NoiseConfig("gaussian", 0).strength == 0
+    with pytest.raises(InputError, match="sample count -3"):
+        scenes.make_dataset(small_spec(), "homo-cis", -3, seed=0, n_platforms=2)
 
 
 def test_dataset_round_trip_and_manifest_checks(tmp_path):

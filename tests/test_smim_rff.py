@@ -50,7 +50,6 @@ def test_select_supporters_threshold_and_degenerate_pair():
     chosen = smim.select_supporters({1: 0.5, 2: 0.3, 3: 0.2}, 4)
     assert chosen == frozenset({1})            # threshold 1/3 strict
     assert smim.select_supporters({1: 1.0}, 2) == frozenset({1})
-    assert smim.select_supporters({1: 1.0}, 2, requested=False) == frozenset()
 
 
 def test_shaped_init_starts_neutral():
