@@ -50,6 +50,8 @@ def baseline_partners(kind: str, sample: SceneSample, i: int, seed: int = 0) -> 
     Random selection draws its one partner from (seed, frame, i), so
     training and inference pick the same partner for the same frame.
     """
+    if seed < 0:
+        raise InputError(f"seed must not be negative, got {seed}")
     others = [j for j in range(sample.n_platforms) if j != i]
     if kind == "no-interaction":
         return []

@@ -2,16 +2,17 @@
 
 One frame runs four phase-barriered rounds: local encoding, request
 decisions, request/relevance exchange, feature grants plus fusion and
-decoding.  Every message is serialized with a fixed little-endian
-framing (magic "DCPM", u8 kind, u16 src, u16 dst, u32 frame, u32 payload
-length) and logged in a ledger from which MBpf is computed.  DCP-Net and
-every baseline run through the same runner; they differ only in who pulls
-whose features and how the received grants are fused.
+decoding.  Every request, relevance reply and grant crosses between
+platforms through `transmit`, which rounds its payload to float32 and
+charges the ledger the size of its DCPM message (magic "DCPM", u8 kind,
+u16 src, u16 dst, u32 frame, u32 payload length, then the payload); MBpf
+is computed from the ledger.  DCP-Net and every baseline run through the
+same runner; they differ only in who pulls whose features and how the
+received grants are fused.
 """
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass, field
 
@@ -42,14 +43,12 @@ class ProtocolMessage:
     frame: int
     payload: bytes
 
-    @property
-    def wire_bytes(self) -> int:
-        return HEADER_BYTES + len(self.payload)
-
 
 def serialize_message(msg: ProtocolMessage) -> bytes:
     if msg.kind not in KIND_NAMES:
         raise ProtocolError(f"unknown message kind {msg.kind}")
+    if not (0 <= msg.src < 2**16 and 0 <= msg.dst < 2**16 and 0 <= msg.frame < 2**32):
+        raise ProtocolError(f"src {msg.src}, dst {msg.dst} or frame {msg.frame} overflows its u16/u16/u32 field")
     header = WIRE_MAGIC + struct.pack("<BHHII", msg.kind, msg.src, msg.dst, msg.frame, len(msg.payload))
     return header + msg.payload
 
@@ -67,33 +66,11 @@ def parse_message(buf: bytes) -> ProtocolMessage:
     return ProtocolMessage(kind, src, dst, frame, buf[HEADER_BYTES:])
 
 
-def request_message(src: int, dst: int, frame: int, request_vec: np.ndarray) -> ProtocolMessage:
-    return ProtocolMessage(KIND_REQUEST, src, dst, frame, np.asarray(request_vec, "<f4").tobytes())
-
-
-def relevance_message(src: int, dst: int, frame: int, relevance: float) -> ProtocolMessage:
-    return ProtocolMessage(KIND_RELEVANCE, src, dst, frame, struct.pack("<f", relevance))
-
-
-def grant_message(src: int, dst: int, frame: int, feature: np.ndarray) -> ProtocolMessage:
-    return ProtocolMessage(KIND_GRANT, src, dst, frame, np.ascontiguousarray(feature, "<f4").tobytes())
-
-
-def decode_feature_payload(msg: ProtocolMessage, shape) -> np.ndarray:
-    count = math.prod(shape)
-    if len(msg.payload) != 4 * count:
-        raise FormatError(f"feature payload {len(msg.payload)} bytes, expected {4 * count}")
-    return np.frombuffer(msg.payload, dtype="<f4").reshape(shape).astype(np.float64)
-
-
 @dataclass
 class CommLedger:
     """One (frame, src, dst, kind, wire bytes) entry per message; byte totals come from the entries."""
 
     entries: list[tuple[int, int, int, int, int]] = field(default_factory=list)
-
-    def log(self, msg: ProtocolMessage) -> None:
-        self.entries.append((msg.frame, msg.src, msg.dst, msg.kind, msg.wire_bytes))
 
     @property
     def total_wire_bytes(self) -> int:
@@ -109,6 +86,18 @@ class CommLedger:
         for _, _, _, kind, _ in self.entries:
             out[KIND_NAMES[kind]] += 1
         return out
+
+
+def transmit(ledger: CommLedger, kind: int, src: int, dst: int, frame: int, values) -> np.ndarray:
+    """Send `values` from platform src to dst as one `kind` message.
+
+    The payload is `values` rounded once to little-endian float32; the
+    ledger is charged its DCPM size, header plus payload.  Returns the
+    receiver's float64 copy, in the shape of `values`.
+    """
+    payload = np.asarray(values, "<f4")
+    ledger.entries.append((frame, src, dst, kind, HEADER_BYTES + payload.nbytes))
+    return payload.astype(np.float64)
 
 
 def mbpf(ledger: CommLedger, frames: int, mode: str = "feature_only") -> float:
@@ -146,7 +135,6 @@ def run_frame(
     """
     n = sample.n_platforms
     ledger = CommLedger()
-    fshape = (cfg.feature_size, cfg.feature_size, cfg.feature_channels)
 
     # phase 1: local encoding
     feats = [encode_view(Tensor(sample.views[i]), params) for i in range(n)]
@@ -174,15 +162,10 @@ def run_frame(
             for j in range(n):
                 if j == i:
                     continue
-                req_msg = request_message(i, j, sample.frame, r.data)
-                ledger.log(req_msg)
                 # candidate j evaluates the (float32 wire copy of the) request
-                r_wire = Tensor(decode_feature_payload(req_msg, (cfg.request_dim,)))
-                rel = smim.candidate_relevance(r_wire, keys[j], params["smim.w_alpha"]).item()
-                reply = relevance_message(j, i, sample.frame, rel)
-                ledger.log(reply)
-                (rel_wire,) = struct.unpack("<f", reply.payload)
-                replies[j] = Tensor(float(rel_wire))
+                r_wire = Tensor(transmit(ledger, KIND_REQUEST, i, j, sample.frame, r.data))
+                rel = smim.candidate_relevance(r_wire, keys[j], params["smim.w_alpha"])
+                replies[j] = Tensor(transmit(ledger, KIND_RELEVANCE, j, i, sample.frame, rel.data))
             scores = smim.match_scores(replies)
             st.scores = {j: s.item() for j, s in scores.items()}
             st.supporters = smim.select_supporters(st.scores, n)
@@ -193,15 +176,12 @@ def run_frame(
     for i in range(n):
         received: dict[int, Tensor] = {}
         for j in pulls.get(i, ()):
-            msg = grant_message(j, i, sample.frame, feats[j].data)
-            ledger.log(msg)
-            received[j] = Tensor(decode_feature_payload(msg, fshape))
+            received[j] = Tensor(transmit(ledger, KIND_GRANT, j, i, sample.frame, feats[j].data))
         if method == "dcp-net":
             related = {j: rff.compute_related(feats[i], f, params) for j, f in received.items()}
             # dropped candidates are zeroed without renormalizing survivors
             scores = {j: Tensor(states[i].scores[j]) for j in received}
-            fused = rff.fuse(feats[i], related, Tensor(states[i].confidence), scores,
-                             requested=bool(received))
+            fused = rff.fuse(feats[i], related, Tensor(states[i].confidence), scores)
         elif i == sample.victim:
             pulled = [received.get(j, f) for j, f in enumerate(feats)]
             fused = bl.fuse_baseline(method, pulled, i, list(received), params)

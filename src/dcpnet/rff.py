@@ -106,15 +106,14 @@ def fuse(
     related: dict[int, Tensor],
     confidence: Tensor,
     scores: dict[int, Tensor],
-    requested: bool,
 ) -> Tensor:
-    """Gated mix: p * local + (1 - p) * request * sum_j s_j * related_j.
+    """Gated mix: p * local + (1 - p) * sum_j s_j * related_j.
 
-    During centralized training the caller passes requested=True and the
-    full candidate score set.  At inference with requested=False the
-    local features pass through unscaled.
+    During centralized training the caller passes the full candidate
+    score set.  At inference a platform that received no grant passes no
+    scores, and its local features pass through unscaled.
     """
-    if not requested:
+    if not scores:
         return f_local
     missing = [j for j in scores if j not in related]
     if missing:

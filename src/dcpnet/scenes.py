@@ -185,6 +185,8 @@ def make_sample(
     noise_strength: float = 0.72,
 ) -> SceneSample:
     """Build one sample deterministically from (seed, frame)."""
+    if seed < 0 or not 0 <= frame < 2**32:
+        raise InputError(f"seed {seed} is negative or frame {frame} lies outside [0, 2**32)")
     if mode not in MODES:
         raise InputError(f"unknown mode {mode!r}, expected one of {MODES}")
     noises = [NoiseConfig(kind, noise_strength) for kind in noise_kinds]  # checked before any draw
@@ -223,8 +225,8 @@ def make_dataset(
     n_platforms: int = 4,
     **kwargs,
 ) -> list[SceneSample]:
-    if n_samples < 0:
-        raise InputError(f"sample count {n_samples} is negative")
+    if n_samples < 1:
+        raise InputError(f"sample count {n_samples} is below 1")
     return [
         make_sample(spec, mode, frame, seed, n_platforms=n_platforms, **kwargs)
         for frame in range(n_samples)
@@ -236,10 +238,12 @@ def make_dataset(
 
 
 # per-sample tensor files are named by frame id and platform index
-_SAMPLE_FILE = re.compile(r"f(-?\d+)_(?:view|mask)(\d+)\.dcpt")
+_SAMPLE_FILE = re.compile(r"f(\d+)_(?:view|mask)(\d+)\.dcpt")
 
 
 def save_dataset(samples: list[SceneSample], dirpath) -> None:
+    if not samples:
+        raise InputError("a dataset needs at least one sample")
     repeated = sorted(f for f, k in Counter(s.frame for s in samples).items() if k > 1)
     if repeated:
         raise InputError(f"frame ids {repeated} are shared by several samples; their tensor files would collide")
@@ -248,7 +252,7 @@ def save_dataset(samples: list[SceneSample], dirpath) -> None:
         raise InputError(f"samples disagree on the class count: {classes}")
     d = Path(dirpath)
     d.mkdir(parents=True, exist_ok=True)
-    lines = [f"count {len(samples)} classes {classes[0] if classes else 0}"]
+    lines = [f"count {len(samples)} classes {classes[0]}"]
     for s in samples:
         twin = -1 if s.clean_twin is None else s.clean_twin
         flags = "".join("1" if f else "0" for f in s.degraded)
@@ -270,6 +274,8 @@ def _parse_sample_line(line: str):
         raise FormatError(f"non-integer field in manifest line {line!r}") from exc
     mode, flags = parts[2], parts[6]
     n = len(flags)
+    if not 0 <= frame < 2**32:
+        raise FormatError(f"frame {frame} outside [0, 2**32) in manifest line {line!r}")
     if mode not in MODES:
         raise FormatError(f"unknown mode {mode!r} in manifest line {line!r}")
     if set(flags) - {"0", "1"}:

@@ -38,6 +38,8 @@ class TrainConfig:
             raise ConfigError(f"learning rate must be finite and positive, got {self.lr}")
         if self.epochs < 0:
             raise ConfigError(f"epoch count must not be negative, got {self.epochs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must not be negative, got {self.seed}")
         if self.batch_size < 1:
             raise ConfigError(f"batch size must be at least 1, got {self.batch_size}")
         if self.supervision not in ("victim_only", "all_platforms"):
@@ -94,7 +96,7 @@ def soft_fusion(feats: list[Tensor], params: dict[str, Tensor]):
         }
         scores = smim.match_scores(relevances)
         related = {j: rff.compute_related(feats[i], feats[j], params) for j in scores}
-        return rff.fuse(feats[i], related, p, scores, requested=True)
+        return rff.fuse(feats[i], related, p, scores)
 
     return fuse
 

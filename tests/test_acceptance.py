@@ -57,8 +57,8 @@ def test_c2_mbpf_published_values():
     single = pr.CommLedger()
     for frame in range(frames):
         for src in (1, 2, 3):   # centralized regimes pull every candidate
-            concat.log(pr.grant_message(src, 0, frame, feature))
-        single.log(pr.grant_message(1, 0, frame, feature))
+            pr.transmit(concat, pr.KIND_GRANT, src, 0, frame, feature)
+        pr.transmit(single, pr.KIND_GRANT, 1, 0, frame, feature)
     assert pr.mbpf(concat, frames, "feature_only") == 1.500
     assert pr.mbpf(single, frames, "feature_only") == 0.500
     assert 3 * cfg.feature_bytes == int(1.5 * 2**20)
@@ -106,7 +106,7 @@ def test_c5_confident_platform_keeps_local_features():
     local = Tensor(rng.normal(size=(4, 4, 8)))
     related = {1: Tensor(rng.normal(size=(4, 4, 8)))}
     scores = {1: Tensor(1.0)}
-    fused = rff.fuse(local, related, Tensor(1.0), scores, requested=True)
+    fused = rff.fuse(local, related, Tensor(1.0), scores)
     assert np.array_equal(fused.data, local.data)
 
 
@@ -256,7 +256,7 @@ def test_c11_dataset_round_trips(tmp_path):
 
 
 def test_c11_corruption_is_typed_never_a_crash(tmp_path):
-    good = pr.serialize_message(pr.request_message(0, 1, 7, np.zeros(4, dtype=np.float32)))
+    good = pr.serialize_message(pr.ProtocolMessage(pr.KIND_REQUEST, 0, 1, 7, np.zeros(4, dtype="<f4").tobytes()))
     tensor = tensor_to_bytes(np.ones((2, 3)))
     corruptions = [
         good[:10],                                  # truncated message

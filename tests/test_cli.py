@@ -94,6 +94,8 @@ def test_cli_surfaces_typed_errors_as_exit_codes(tmp_path, capsys):
     pytest.param(["--samples", "8", "--noise-strength", "nan"], id="nan-noise"),
     pytest.param(["--view-size", "0", "--samples", "4"], id="zero-view-size"),
     pytest.param(["--samples", "-3"], id="negative-samples"),
+    pytest.param(["--samples", "0", "--noise-strength", "nan"], id="zero-samples"),
+    pytest.param(["--samples", "2", "--seed", "-1"], id="negative-seed"),
 ])
 def test_gen_rejects_bad_settings_before_writing(tmp_path, capsys, flags):
     ds = tmp_path / "ds"
@@ -225,7 +227,9 @@ def test_request_size_sweep_needs_sets_of_one_shape(tmp_path, capsys, flag):
 
 def test_empty_evaluation_set_is_a_typed_error(tmp_path, capsys):
     ds, empty, ckpt = tmp_path / "ds", tmp_path / "empty", tmp_path / "ckpt"
-    assert _gen_small(ds, 2) == 0 and _gen_small(empty, 0) == 0
+    assert _gen_small(ds, 2) == 0
+    empty.mkdir()   # gen refuses to write an empty set; one can still arrive on disk
+    (empty / "manifest.txt").write_text("count 0 classes 3\n")
     assert cli.main(["train", "--dataset", str(ds), "--ckpt", str(ckpt), "--epochs", "1"]) == 0
     capsys.readouterr()
     for cmd in ("eval", "sweep"):
@@ -282,6 +286,7 @@ def test_metrics_value_types_are_checked(tmp_path, capsys, field, value):
     pytest.param(["--batch-size", "0"], id="batch-size-0"),
     pytest.param(["--epochs", "-1"], id="negative-epochs"),
     pytest.param(["--lr", "nan"], id="nan-lr"),
+    pytest.param(["--seed", "-1"], id="negative-seed"),
 ])
 def test_bad_training_settings_are_typed_errors(tmp_path, capsys, flag):
     ds, ckpt = tmp_path / "ds", tmp_path / "ckpt"
@@ -292,6 +297,21 @@ def test_bad_training_settings_are_typed_errors(tmp_path, capsys, flag):
     assert rc == 1
     assert err.startswith("error: ") and "Traceback" not in err
     assert not ckpt.exists()
+
+
+def test_negative_seed_is_a_typed_error_for_eval_and_experiment(tmp_path, capsys):
+    ds, ckpt, out = tmp_path / "ds", tmp_path / "ckpt", tmp_path / "r"
+    assert _gen_small(ds, 2) == 0
+    assert cli.main(["train", "--dataset", str(ds), "--ckpt", str(ckpt), "--epochs", "1",
+                     "--baseline", "random-selection"]) == 0
+    capsys.readouterr()
+    for argv in (["eval", "--dataset", str(ds), "--ckpt", str(ckpt), "--baseline", "random-selection"],
+                 ["experiment", "--mode", "homo-cis", "--train-samples", "1", "--val-samples", "1"]):
+        rc = cli.main([*argv, "--seed", "-1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and "seed" in err and "-1" in err and "Traceback" not in err
+        assert not (out / "metrics.json").exists()
 
 
 @pytest.mark.parametrize("grid", [["nan"], ["2", "2.7"]], ids=["nan", "fraction"])

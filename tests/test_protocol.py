@@ -1,7 +1,6 @@
 """Wire format, ledger accounting, and frame execution."""
 
 import dataclasses
-import struct
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -11,7 +10,7 @@ import pytest
 from dcpnet import autodiff as ad
 from dcpnet import harness, protocol as pr, scenes, training
 from dcpnet.autodiff import Tensor
-from dcpnet.errors import FormatError, ProtocolError
+from dcpnet.errors import ProtocolError
 from dcpnet.network import decode_segmentation, encode_view, predict_segmentation
 
 from conftest import small_cfg, small_spec
@@ -19,7 +18,7 @@ from conftest import small_cfg, small_spec
 
 def test_message_round_trip_and_header_layout():
     vec = np.arange(4, dtype=np.float32)
-    msg = pr.request_message(2, 5, 77, vec)
+    msg = pr.ProtocolMessage(pr.KIND_REQUEST, 2, 5, 77, vec.astype("<f4").tobytes())
     buf = pr.serialize_message(msg)
     assert buf[:4] == b"DCPM"
     assert len(buf) == pr.HEADER_BYTES + 16
@@ -34,24 +33,39 @@ def test_serialize_rejects_unknown_kind():
 
 
 def test_relevance_payload_is_one_float():
-    msg = pr.relevance_message(1, 0, 3, 0.25)
-    assert struct.unpack("<f", msg.payload) == (0.25,)
+    ledger = pr.CommLedger()
+    got = pr.transmit(ledger, pr.KIND_RELEVANCE, 1, 0, 3, 0.25)
+    assert ledger.entries == [(3, 1, 0, pr.KIND_RELEVANCE, pr.HEADER_BYTES + 4)]
+    assert got.shape == () and got.dtype == np.float64 and got == 0.25
 
 
-def test_feature_payload_round_trip_and_guard():
+def test_feature_payload_round_trip():
     feat = np.random.default_rng(0).normal(size=(2, 2, 3)).astype(np.float32)
-    msg = pr.grant_message(0, 1, 0, feat)
-    out = pr.decode_feature_payload(msg, (2, 2, 3))
+    out = pr.transmit(pr.CommLedger(), pr.KIND_GRANT, 0, 1, 0, feat)
     assert np.array_equal(out, feat.astype(np.float64))
-    with pytest.raises(FormatError):
-        pr.decode_feature_payload(msg, (2, 2, 4))
+    assert out.dtype == np.float64 and out is not feat
+
+
+@pytest.mark.parametrize("kind, values", [
+    (pr.KIND_REQUEST, np.random.default_rng(1).normal(size=4)),
+    (pr.KIND_RELEVANCE, np.float64(1 / 3)),
+    (pr.KIND_GRANT, np.random.default_rng(2).normal(size=(2, 2, 3))),
+], ids=["request", "relevance", "grant"])
+def test_transmit_charges_and_delivers_what_the_codec_carries(kind, values):
+    ledger = pr.CommLedger()
+    got = pr.transmit(ledger, kind, 3, 1, 9, values)
+    buf = pr.serialize_message(pr.ProtocolMessage(kind, 3, 1, 9, np.asarray(values, "<f4").tobytes()))
+    assert ledger.entries == [(9, 3, 1, kind, len(buf))]
+    parsed = np.frombuffer(pr.parse_message(buf).payload, dtype="<f4").astype(np.float64)
+    assert got.shape == np.shape(values) and got.dtype == np.float64
+    assert np.array_equal(got.ravel(), parsed)
 
 
 def test_ledger_counts_and_accounting_modes():
     ledger = pr.CommLedger()
-    ledger.log(pr.request_message(0, 1, 0, np.zeros(4, dtype=np.float32)))
-    ledger.log(pr.relevance_message(1, 0, 0, 0.5))
-    ledger.log(pr.grant_message(1, 0, 0, np.zeros((2, 2, 3), dtype=np.float32)))
+    pr.transmit(ledger, pr.KIND_REQUEST, 0, 1, 0, np.zeros(4, dtype=np.float32))
+    pr.transmit(ledger, pr.KIND_RELEVANCE, 1, 0, 0, 0.5)
+    pr.transmit(ledger, pr.KIND_GRANT, 1, 0, 0, np.zeros((2, 2, 3), dtype=np.float32))
     assert ledger.counts() == {"request": 1, "relevance": 1, "grant": 1}
     assert ledger.feature_payload_bytes == 48
     assert ledger.total_wire_bytes == (pr.HEADER_BYTES * 3) + 16 + 4 + 48
@@ -81,6 +95,22 @@ def test_run_frame_message_pattern():
     for st in res.states:
         assert st.requested
         assert abs(sum(st.scores.values()) - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("method", ["dcp-net", "concat-all", "random-selection"])
+def test_every_message_of_a_frame_goes_through_transmit(monkeypatch, method):
+    cfg = small_cfg(n_platforms=3, request_threshold=1.0)
+    params = harness.init_params(method, cfg, seed=0)
+    sample = scenes.make_sample(small_spec(), "homo-cis", 0, 0, n_platforms=3)
+    sent, transmit = [], pr.transmit
+
+    def spy(ledger, kind, src, dst, frame, values):
+        sent.append((frame, src, dst, kind))
+        return transmit(ledger, kind, src, dst, frame, values)
+
+    monkeypatch.setattr(pr, "transmit", spy)
+    res = pr.run_frame(sample, params, cfg, method)
+    assert sent and sent == [e[:4] for e in res.ledger.entries]
 
 
 def test_no_requests_means_no_bytes_and_local_predictions():

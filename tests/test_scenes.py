@@ -119,7 +119,7 @@ def test_worldspec_validation():
         WorldSpec(world_size=32, view_size=0, min_view_separation=0)
 
 
-def test_bad_noise_strength_and_sample_count_fail_before_generation():
+def test_bad_noise_strength_and_sample_count_fail_before_generation(tmp_path):
     degraded = [scenes.make_sample(small_spec(), "homo-cis", f, 0, n_platforms=2).degraded[0] for f in range(4)]
     assert True in degraded and False in degraded
     for strength in (-1.0, float("nan"), float("inf")):
@@ -130,8 +130,22 @@ def test_bad_noise_strength_and_sample_count_fail_before_generation():
             with pytest.raises(ConfigError, match="noise strength"):
                 scenes.make_sample(small_spec(), "homo-cis", frame, 0, n_platforms=2, noise_strength=strength)
     assert NoiseConfig("gaussian", 0).strength == 0
-    with pytest.raises(InputError, match="sample count -3"):
-        scenes.make_dataset(small_spec(), "homo-cis", -3, seed=0, n_platforms=2)
+    for count in (-3, 0):
+        with pytest.raises(InputError, match=f"sample count {count}"):
+            scenes.make_dataset(small_spec(), "homo-cis", count, seed=0, n_platforms=2)
+    with pytest.raises(InputError, match="at least one sample"):
+        scenes.save_dataset([], tmp_path / "ds")
+    assert not (tmp_path / "ds").exists()
+
+
+def test_negative_seed_or_frame_fails_before_the_first_draw(monkeypatch):
+    def reached(*args, **kwargs):
+        raise AssertionError("a world was drawn")
+
+    monkeypatch.setattr(scenes, "generate_world", reached)
+    for frame, seed in ((0, -1), (-1, 0), (2**32, 0)):
+        with pytest.raises(InputError, match=f"seed {seed} is negative or frame {frame} "):
+            scenes.make_sample(small_spec(), "homo-cis", frame, seed, n_platforms=2)
 
 
 def test_dataset_round_trip_and_manifest_checks(tmp_path):
@@ -193,6 +207,18 @@ def test_manifest_field_checks(tmp_path, line):
     with pytest.raises(FormatError) as exc:
         scenes.load_dataset(out)
     assert "header" not in str(exc.value)
+
+
+def test_frame_ids_outside_u32_are_rejected(tmp_path):
+    out = _one_sample_set(tmp_path)
+    header, body = (out / "manifest.txt").read_text().splitlines()
+    for frame, name in ((-1, "f-0001"), (2**32, f"f{2**32}")):
+        for path in list(out.glob("f*.dcpt")):
+            path.rename(out / (name + path.name[path.name.index("_"):]))
+        line = body.replace("sample 0 ", f"sample {frame} ", 1)
+        (out / "manifest.txt").write_text(f"{header}\n{line}\n")
+        with pytest.raises(FormatError, match=f"frame {frame} outside"):
+            scenes.load_dataset(out)
 
 
 def test_manifest_count_header_is_checked(tmp_path):

@@ -117,21 +117,21 @@ def test_fuse_mixes_by_confidence_and_scores():
     local = Tensor(np.ones((1, 1, 2)))
     related = {1: Tensor(np.full((1, 1, 2), 3.0)), 2: Tensor(np.full((1, 1, 2), 5.0))}
     scores = {1: Tensor(0.25), 2: Tensor(0.75)}
-    fused = rff.fuse(local, related, Tensor(0.6), scores, requested=True)
+    fused = rff.fuse(local, related, Tensor(0.6), scores)
     expected = 0.6 * 1.0 + 0.4 * (0.25 * 3.0 + 0.75 * 5.0)
     assert np.allclose(fused.data, expected, atol=1e-12)
 
 
 def test_fuse_passthrough_and_literal_mode():
     local = Tensor(RNG.normal(size=(2, 2, 3)))
-    out = rff.fuse(local, {}, Tensor(0.3), {}, requested=False)
+    out = rff.fuse(local, {}, Tensor(0.3), {})
     assert out is local
 
 
 def test_fuse_requires_related_for_every_score():
     local = Tensor(np.zeros((1, 1, 2)))
     with pytest.raises(ProtocolError):
-        rff.fuse(local, {}, Tensor(0.5), {1: Tensor(1.0)}, requested=True)
+        rff.fuse(local, {}, Tensor(0.5), {1: Tensor(1.0)})
 
 
 def test_config_guards():
