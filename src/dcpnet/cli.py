@@ -10,7 +10,7 @@ from dataclasses import replace
 from . import harness, reports, scenes
 from .baselines import BASELINES
 from .config import WorldSpec
-from .errors import DcpError
+from .errors import DcpError, InputError
 from .training import TrainConfig
 
 
@@ -56,10 +56,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dump the first N frames as PGM/PPM files")
 
     s = sub.add_parser("sweep", help="request-threshold or request-size ablation")
-    s.add_argument("--kind", choices=("threshold", "request-size"), default="threshold")
     s.add_argument("--dataset", required=True)
-    s.add_argument("--ckpt", default=None, help="trained checkpoint (threshold sweep)")
-    s.add_argument("--train-dataset", default=None, help="training set (request-size sweep)")
+    source = s.add_mutually_exclusive_group(required=True)
+    source.add_argument("--ckpt", help="trained checkpoint: sweep the request threshold")
+    source.add_argument("--train-dataset", help="training set: retrain and sweep the request size")
     s.add_argument("--grid", type=float, nargs="*", default=None)
     s.add_argument("--epochs", type=int, default=20)
     s.add_argument("--lr", type=float, default=2e-3)
@@ -116,16 +116,21 @@ def _cmd_train(args) -> int:
 
 
 def _victim_dumps(results, dataset, count: int) -> dict:
-    """Prediction, mask and view of the victim platform for the first frames."""
+    """Prediction, mask and view of the victim platform for the first frames.
+
+    Class k of the dataset's K classes is drawn at gray level k / (K - 1)."""
+    top = dataset[0].classes - 1
     dumps = {}
     for i, (res, sample) in enumerate(zip(results[:count], dataset)):
-        dumps[f"frame{i:04d}_pred"] = res.predictions[sample.victim]
-        dumps[f"frame{i:04d}_mask"] = sample.masks[sample.victim]
+        dumps[f"frame{i:04d}_pred"] = res.predictions[sample.victim] / top
+        dumps[f"frame{i:04d}_mask"] = sample.masks[sample.victim] / top
         dumps[f"frame{i:04d}_view"] = sample.views[sample.victim]
     return dumps
 
 
 def _cmd_eval(args) -> int:
+    if args.dump_predictions < 0:
+        raise InputError(f"--dump-predictions {args.dump_predictions} is negative")
     dataset = scenes.load_dataset(args.dataset)
     method = args.baseline or "dcp-net"
     cfg, params = harness.load_model(method, dataset, args.ckpt)
@@ -140,17 +145,11 @@ def _cmd_eval(args) -> int:
 
 def _cmd_sweep(args) -> int:
     dataset = scenes.load_dataset(args.dataset)
-    if args.kind == "threshold":
-        if not args.ckpt:
-            print("threshold sweep needs --ckpt", file=sys.stderr)
-            return 2
+    if args.ckpt is not None:
         cfg, params = harness.load_model("dcp-net", dataset, args.ckpt)
         rows = harness.sweep_request_threshold(dataset, params, cfg, args.grid)
         harness.sweep_rows_to_csv(rows, args.out, "threshold")
     else:
-        if not args.train_dataset:
-            print("request-size sweep needs --train-dataset", file=sys.stderr)
-            return 2
         train_set = scenes.load_dataset(args.train_dataset)
         cfg = harness.model_config(dataset, request_threshold=args.request_threshold)
         tcfg = TrainConfig(lr=args.lr, epochs=args.epochs, seed=args.seed)

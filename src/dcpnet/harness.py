@@ -83,9 +83,18 @@ def train_method(method: str, train_set: list[SceneSample], cfg: ModelConfig, tc
     return params, train(train_set, params, cfg, tcfg, method)
 
 
-def _record(method, dataset, params, cfg, baseline_avg_miou, comm_accounting, seed=0):
-    """Run every frame of `dataset` under `method`: the victim-split, per-platform and
-    communication metrics, and the frame results."""
+def evaluate(
+    method: str,
+    dataset: list[SceneSample],
+    params: dict[str, Tensor],
+    cfg: ModelConfig,
+    baseline_avg_miou: float | None = None,
+    comm_accounting: str = "feature_only",
+    seed: int = 0,
+) -> tuple[mt.MetricsRecord, list[pr.FrameResult]]:
+    """Run every frame of `dataset` under `method` through the protocol: the victim-split,
+    per-platform and communication metrics, CE against `baseline_avg_miou`, DCP-Net's
+    detect/select accuracy on homo-cis data, and the frame results."""
     if not dataset:
         raise InputError(f"cannot evaluate {method} on an empty dataset")
     results = [pr.run_frame(s, params, cfg, method, seed) for s in dataset]
@@ -97,38 +106,16 @@ def _record(method, dataset, params, cfg, baseline_avg_miou, comm_accounting, se
     ]
     ledger = pr.CommLedger([e for r in results for e in r.ledger.entries])
     comm = pr.mbpf(ledger, len(dataset), comm_accounting)
-    ce = None
-    if baseline_avg_miou is not None:
-        ce = mt.collaboration_efficiency(avg, baseline_avg_miou, comm)
-    return mt.MetricsRecord(method, noisy, normal, avg, per_platform, comm, ce), results
-
-
-def evaluate_dcp(
-    dataset: list[SceneSample],
-    params: dict[str, Tensor],
-    cfg: ModelConfig,
-    baseline_avg_miou: float | None = None,
-    comm_accounting: str = "feature_only",
-) -> tuple[mt.MetricsRecord, list[pr.FrameResult]]:
-    record, results = _record("dcp-net", dataset, params, cfg, baseline_avg_miou, comm_accounting)
-    if dataset[0].mode == "homo-cis":
+    ce = None if baseline_avg_miou is None else mt.collaboration_efficiency(avg, baseline_avg_miou, comm)
+    record = mt.MetricsRecord(method, noisy, normal, avg, per_platform, comm, ce)
+    if method == "dcp-net" and dataset[0].mode == "homo-cis":
         record.detect_acc, record.select_acc = mt.selection_accuracy([r.states for r in results], dataset)
     return record, results
 
 
-def evaluate(
-    method: str,
-    dataset: list[SceneSample],
-    params: dict[str, Tensor],
-    cfg: ModelConfig,
-    baseline_avg_miou: float | None = None,
-    comm_accounting: str = "feature_only",
-    seed: int = 0,
-) -> tuple[mt.MetricsRecord, list[pr.FrameResult]]:
-    """Any method through the protocol; DCP-Net also scores its selection accuracy."""
-    if method == "dcp-net":
-        return evaluate_dcp(dataset, params, cfg, baseline_avg_miou, comm_accounting)
-    return _record(method, dataset, params, cfg, baseline_avg_miou, comm_accounting, seed)
+def evaluate_dcp(dataset, params, cfg, baseline_avg_miou=None, comm_accounting="feature_only"):
+    """`evaluate` of DCP-Net: the sweeps score through it, and the benchmark traces it by name."""
+    return evaluate("dcp-net", dataset, params, cfg, baseline_avg_miou, comm_accounting)
 
 
 # the methods each budgeted experiment compares; the first is the CE referent
@@ -169,8 +156,8 @@ def run_experiment(
             f"an experiment needs samples to train and validate on, got {train_samples} and {val_samples}"
         )
     spec = WorldSpec() if mode == "homo-cis" else WorldSpec(world_size=80, min_view_separation=0)
-    cfg = ModelConfig(classes=spec.classes)
     train_set = scenes.make_dataset(spec, mode, train_samples, seed=seed, noise_strength=noise_strength)
+    cfg = model_config(train_set)
     val_set = scenes.make_dataset(spec, mode, val_samples, seed=seed + 1000, noise_strength=noise_strength)
     tcfg = TrainConfig(seed=seed)
     run = Experiment(cfg, val_set, {}, {}, {})
@@ -219,7 +206,8 @@ def sweep_request_size(
     tcfg: TrainConfig,
     grid=(2, 8, 32, 128),
 ) -> list[SweepRow]:
-    """Retrain the request pathway per request size, then evaluate."""
+    """Retrain the request pathway per request size, then score it as a one-row
+    threshold sweep at `cfg.request_threshold`, relabelled with the size."""
     if model_config(train_set) != model_config(val_set):
         raise InputError("the training and validation sets differ in platform count, view size or classes")
     for r in grid:
@@ -229,9 +217,8 @@ def sweep_request_size(
     for r in grid:
         cfg_r = replace(cfg, request_dim=int(r))  # raises ConfigError when r > qk dim
         params, _ = train_method("dcp-net", train_set, cfg_r, tcfg)
-        off, _ = evaluate_dcp(val_set, params, replace(cfg_r, request_threshold=0.0))
-        record, _ = evaluate_dcp(val_set, params, cfg_r, off.miou_avg)
-        rows.append(SweepRow(int(r), record.miou_avg, record.comm_cost_mbpf, record.ce, cfg_r.request_bytes))
+        [row] = sweep_request_threshold(val_set, params, cfg_r, [cfg_r.request_threshold])
+        rows.append(replace(row, knob=int(r), request_bytes=cfg_r.request_bytes))
     return rows
 
 

@@ -13,6 +13,7 @@ received grants are fused.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -93,11 +94,19 @@ def transmit(ledger: CommLedger, kind: int, src: int, dst: int, frame: int, valu
 
     The payload is `values` rounded once to little-endian float32; the
     ledger is charged its DCPM size, header plus payload.  Returns the
-    receiver's float64 copy, in the shape of `values`.
+    receiver's float64 copy, in the shape of `values`.  A payload that
+    float32 cannot carry (inf or NaN after the rounding) is a ProtocolError.
     """
     payload = np.asarray(values, "<f4")
+    received = payload.astype(np.float64)
+    # a float64 sum of finite float32 values stays finite at any message size
+    if not math.isfinite(received.sum()):
+        raise ProtocolError(
+            f"{KIND_NAMES.get(kind, kind)} from {src} to {dst} in frame {frame} holds a value "
+            f"float32 cannot carry"
+        )
     ledger.entries.append((frame, src, dst, kind, HEADER_BYTES + payload.nbytes))
-    return payload.astype(np.float64)
+    return received
 
 
 def mbpf(ledger: CommLedger, frames: int, mode: str = "feature_only") -> float:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -22,13 +23,11 @@ _METHOD_TYPE = {
 }
 
 
-def write_pgm(path, mask: np.ndarray, maxval: int = 255) -> None:
-    """Binary (P5) grayscale image from an integer grid scaled to maxval."""
-    mask = np.asarray(mask)
-    top = max(1, int(mask.max()))
-    gray = (mask.astype(np.float64) / top * maxval).round().astype(np.uint8)
+def write_pgm(path, image: np.ndarray) -> None:
+    """Binary (P5) grayscale image from float values in [0, 1]."""
+    gray = (np.clip(np.asarray(image), 0.0, 1.0) * 255).round().astype(np.uint8)
     h, w = gray.shape
-    Path(path).write_bytes(f"P5\n{w} {h}\n{maxval}\n".encode() + gray.tobytes())
+    Path(path).write_bytes(f"P5\n{w} {h}\n255\n".encode() + gray.tobytes())
 
 
 def read_pgm(path) -> np.ndarray:
@@ -48,27 +47,21 @@ def read_ppm(path) -> np.ndarray:
     return _read_netpbm(buf, b"P6", channels=3)
 
 
+# width, height and maxval, each after whitespace or comment lines, then one whitespace byte
+_NETPBM_HEADER = re.compile(rb"(?:(?:\s|#[^\n]*\n)+(\d+))" * 3 + rb"\s")
+
+
 def _read_netpbm(buf: bytes, magic: bytes, channels: int) -> np.ndarray:
     if not buf.startswith(magic):
         raise FormatError(f"bad netpbm magic {buf[:2]!r}")
-    fields: list[int] = []
-    pos = 2
-    while len(fields) < 3:
-        while pos < len(buf) and buf[pos : pos + 1].isspace():
-            pos += 1
-        if buf[pos : pos + 1] == b"#":
-            pos = buf.index(b"\n", pos) + 1
-            continue
-        end = pos
-        while end < len(buf) and not buf[end : end + 1].isspace():
-            end += 1
-        fields.append(int(buf[pos:end]))
-        pos = end
-    pos += 1  # single whitespace after maxval
-    w, h, _ = fields
-    data = np.frombuffer(buf, dtype=np.uint8, count=h * w * channels, offset=pos)
-    if data.size != h * w * channels:
-        raise FormatError("netpbm payload truncated")
+    header = _NETPBM_HEADER.match(buf, 2)
+    if header is None:
+        raise FormatError(f"netpbm header is not three whole numbers: {buf[:40]!r}")
+    w, h, _ = map(int, header.groups())
+    size = h * w * channels
+    if len(buf) - header.end() < size:
+        raise FormatError(f"netpbm payload truncated: {len(buf) - header.end()} of {size} bytes")
+    data = np.frombuffer(buf, dtype=np.uint8, count=size, offset=header.end())
     return data.reshape((h, w) if channels == 1 else (h, w, channels))
 
 
@@ -88,8 +81,8 @@ def table_row(record: MetricsRecord) -> str:
 def emit_report(records: list[MetricsRecord], dirpath, prediction_dumps=None) -> None:
     """Write metrics.json and tables.csv; optionally dump predictions.
 
-    `prediction_dumps` maps a file stem to either an integer class mask
-    (written as PGM) or a float color image (written as PPM).
+    `prediction_dumps` maps a file stem to an image of floats in [0, 1]:
+    a 2-D one is written as grayscale PGM, a 3-D one as color PPM.
     """
     d = Path(dirpath)
     try:

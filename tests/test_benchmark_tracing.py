@@ -50,9 +50,9 @@ def test_trace_targets_resolve_install_and_uninstall():
     assert tracer.counts["protocol.requests_per_frame"] == res.ledger.counts()["request"] == 2
 
 
-def _load_workloads(monkeypatch):
-    monkeypatch.syspath_prepend(str(BENCH))  # workloads.py imports `common` from its own folder
-    spec = importlib.util.spec_from_file_location("benchmark_workloads", BENCH / "workloads.py")
+def _load_bench_module(monkeypatch, name):
+    monkeypatch.syspath_prepend(str(BENCH))  # the modules import `common` from their own folder
+    spec = importlib.util.spec_from_file_location(f"benchmark_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look their module up here
     spec.loader.exec_module(module)
@@ -60,16 +60,38 @@ def _load_workloads(monkeypatch):
 
 
 def test_benchmark_workloads_run_a_cycle_and_match_expected_counts(tmp_path, monkeypatch):
-    workloads = _load_workloads(monkeypatch)
-    expected = json.loads((BENCH / "expected.json").read_text())["infer-collab"]
+    """One traced cycle of each workload reproduces every count of expected.json,
+    each resolved per item as `run.py --trace 1` resolves it."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")  # run.py sets these on import; teardown restores them
+    run = _load_bench_module(monkeypatch, "run")
+    workloads = _load_bench_module(monkeypatch, "workloads")
+    tracing = _load_tracing()
+    expected = json.loads((BENCH / "expected.json").read_text())
+    assert set(expected) == set(workloads.WORKLOADS)
     for name, workload_cls in workloads.WORKLOADS.items():
         tally = workloads.Tally()
         workload = workload_cls(1, tally, tmp_path)
-        assert workload.cycle(), name
-        guards = workload.guards()
+        tracer = tracing.Tracer()
+        tracer.install()
+        tally.tracer = tracer
+        try:
+            units = workload.cycle()
+        finally:
+            tracer.uninstall()
+            tally.tracer = None
+        assert units and tracer.clean(), name
+        items = sum(u[3] for u in units)
+        summary = tracer.summary()
+        values = {key: run.resolve(key, items, 1.0, tracer, summary) for key in expected[name]}
+        c = tracer.counts
+        traffic = workloads.traffic_metrics(
+            c["protocol.requests_per_frame"], c["protocol.relevances_per_frame"],
+            c["protocol.grants_per_frame"], c["protocol.wire_bytes_per_frame"], items,
+        )
+        values.update(traffic)
+        values.update((key, v) for key, v in workload.guards().items() if key not in traffic)
         assert tally.failed == 0, (name, tally.problems)
-        if name == "infer-collab":
-            assert "protocol.wire_bytes_per_frame" in guards and "metrics.victim_miou" in guards
-            for key, value in guards.items():
-                tolerance = 0.005 if key == "metrics.victim_miou" else 0
-                assert value == pytest.approx(expected[key], rel=0, abs=tolerance), key
+        for key, want in expected[name].items():
+            tolerance = run.TOLERANCE.get(key, 0)
+            assert values[key] == pytest.approx(want, rel=0, abs=tolerance), (name, key)

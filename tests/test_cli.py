@@ -3,9 +3,12 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from dcpnet import cli, harness
+from dcpnet import cli, harness, protocol as pr, reports, scenes
+
+from conftest import small_spec
 
 BENCH_CHECKPOINT = Path(__file__).resolve().parents[1] / "benchmarks" / "checkpoint"
 
@@ -43,7 +46,7 @@ def test_gen_train_eval_sweep_report_pipeline(tmp_path, capsys):
 
     sweep = tmp_path / "sweep.csv"
     rc = cli.main([
-        "sweep", "--kind", "threshold", "--dataset", str(ds), "--ckpt", str(ckpt),
+        "sweep", "--dataset", str(ds), "--ckpt", str(ckpt),
         "--grid", "0.0", "0.5", "1.0", "--out", str(sweep),
     ])
     assert rc == 0
@@ -83,9 +86,8 @@ def test_cli_surfaces_typed_errors_as_exit_codes(tmp_path, capsys):
         "--out", str(tmp_path / "r"),
     ])
     assert rc == 1
-    rc = cli.main(["sweep", "--kind", "threshold", "--dataset", str(tmp_path / "missing"),
-                   "--out", str(tmp_path / "s.csv")])
-    assert rc in (1, 2)
+    rc = cli.main(["sweep", "--dataset", str(tmp_path / "missing"), "--out", str(tmp_path / "s.csv")])
+    assert rc == 2  # argparse: neither --ckpt nor --train-dataset
     capsys.readouterr()
 
 
@@ -217,7 +219,7 @@ def test_request_size_sweep_needs_sets_of_one_shape(tmp_path, capsys, flag):
                      "--world-size", "32", "--view-size", "16", "--classes", "3", "--platforms", "2", *flag]) == 0
     capsys.readouterr()
     for train, val in ((ds, other), (other, ds)):
-        rc = cli.main(["sweep", "--kind", "request-size", "--dataset", str(val), "--train-dataset", str(train),
+        rc = cli.main(["sweep", "--dataset", str(val), "--train-dataset", str(train),
                        "--grid", "2", "--epochs", "1", "--out", str(tmp_path / "s.csv")])
         err = capsys.readouterr().err
         assert rc == 1
@@ -323,9 +325,47 @@ def test_request_size_grid_must_hold_whole_numbers(tmp_path, capsys, monkeypatch
     assert _gen_small(ds, 2) == 0
     monkeypatch.setattr(harness, "train_method", reached)
     capsys.readouterr()
-    rc = cli.main(["sweep", "--kind", "request-size", "--dataset", str(ds), "--train-dataset", str(ds),
+    rc = cli.main(["sweep", "--dataset", str(ds), "--train-dataset", str(ds),
                    "--grid", *grid, "--epochs", "1", "--out", str(tmp_path / "s.csv")])
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error: ") and f"request size {float(grid[-1])} " in err
     assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("source", [[], ["--ckpt", "c", "--train-dataset", "t"]], ids=["neither", "both"])
+def test_sweep_takes_a_checkpoint_or_a_training_set(tmp_path, capsys, source):
+    # the dataset is never read: argparse rejects the call first
+    rc = cli.main(["sweep", "--dataset", str(tmp_path / "missing"), *source, "--out", str(tmp_path / "s.csv")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "error: " in err and "--ckpt" in err and "--train-dataset" in err
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_negative_dump_count_fails_before_any_frame_runs(tmp_path, capsys, monkeypatch):
+    def reached(*args, **kwargs):
+        raise AssertionError("a frame ran before the dump count was checked")
+
+    ds, ckpt, out = tmp_path / "ds", tmp_path / "ckpt", tmp_path / "r"
+    assert _gen_small(ds, 3) == 0
+    assert cli.main(["train", "--dataset", str(ds), "--ckpt", str(ckpt), "--epochs", "1"]) == 0
+    monkeypatch.setattr(pr, "run_frame", reached)
+    capsys.readouterr()
+    rc = cli.main(["eval", "--dataset", str(ds), "--ckpt", str(ckpt), "--out", str(out), "--dump-predictions", "-1"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and "--dump-predictions -1" in err
+    assert not out.exists()
+
+
+def test_one_class_has_one_gray_level_in_every_dump(tmp_path):
+    sample = scenes.make_sample(small_spec(), "homo-cis", 0, 0, n_platforms=2)  # 3 classes
+    mask = sample.masks[sample.victim]
+    assert mask.max() == 2
+    prediction = np.ones_like(mask)  # class 1 everywhere
+    result = pr.FrameResult([prediction, prediction], [], pr.CommLedger())
+    reports.emit_report([], tmp_path, cli._victim_dumps([result], [sample], 1))
+    assert (reports.read_pgm(tmp_path / "frame0000_pred.pgm") == 128).all()
+    levels = {0: 0, 1: 128, 2: 255}
+    assert np.array_equal(reports.read_pgm(tmp_path / "frame0000_mask.pgm"), np.vectorize(levels.get)(mask))

@@ -96,10 +96,10 @@ def test_load_model_reads_the_benchmark_checkpoint_shape():
 
 def test_pgm_ppm_round_trip(tmp_path):
     mask = np.array([[0, 1], [2, 2]])
-    reports.write_pgm(tmp_path / "m.pgm", mask)
+    reports.write_pgm(tmp_path / "m.pgm", mask / 2)  # class k of 3 at gray k / 2
     gray = reports.read_pgm(tmp_path / "m.pgm")
     assert gray.shape == (2, 2)
-    assert gray[0, 0] == 0 and gray[1, 1] == 255
+    assert gray[0, 0] == 0 and gray[0, 1] == 128 and gray[1, 1] == 255
 
     img = np.array([[[0.0, 0.5, 1.0]]])
     reports.write_ppm(tmp_path / "i.ppm", img)
@@ -108,6 +108,18 @@ def test_pgm_ppm_round_trip(tmp_path):
 
     with pytest.raises(FormatError):
         reports.read_pgm(tmp_path / "i.ppm")
+
+
+@pytest.mark.parametrize("buf", [
+    pytest.param(b"P5\n4", id="missing-field"),
+    pytest.param(b"P5\n# c", id="unterminated-comment"),
+    pytest.param(b"P5\nx 4\n255\n", id="non-integer-field"),
+    pytest.param(b"P5\n2 2\n255\n\x00", id="short-payload"),
+])
+def test_malformed_netpbm_is_a_format_error(tmp_path, buf):
+    (tmp_path / "m.pgm").write_bytes(buf)
+    with pytest.raises(FormatError, match="netpbm"):
+        reports.read_pgm(tmp_path / "m.pgm")
 
 
 def _record():

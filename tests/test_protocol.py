@@ -61,6 +61,23 @@ def test_transmit_charges_and_delivers_what_the_codec_carries(kind, values):
     assert np.array_equal(got.ravel(), parsed)
 
 
+def test_a_relevance_beyond_float32_is_a_protocol_error():
+    cfg = small_cfg(n_platforms=3, request_threshold=1.0)  # every platform requests
+    params = harness.init_dcp_params(cfg, seed=0)
+    params["smim.w_alpha"] = Tensor(np.full_like(params["smim.w_alpha"].data, 1e300))
+    sample = scenes.make_sample(small_spec(), "homo-cis", 0, 0, n_platforms=3)
+    with np.errstate(over="ignore"), pytest.raises(ProtocolError, match="relevance from 1 to 0 in frame 0"):
+        pr.run_frame(sample, params, cfg)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 1e39])
+def test_transmit_rejects_a_value_float32_cannot_carry(value):
+    ledger = pr.CommLedger()
+    with np.errstate(over="ignore"), pytest.raises(ProtocolError, match="grant from 2 to 0 in frame 5"):
+        pr.transmit(ledger, pr.KIND_GRANT, 2, 0, 5, np.array([[0.5, value], [1.0, 2.0]]))
+    assert ledger.entries == []
+
+
 def test_ledger_counts_and_accounting_modes():
     ledger = pr.CommLedger()
     pr.transmit(ledger, pr.KIND_REQUEST, 0, 1, 0, np.zeros(4, dtype=np.float32))
