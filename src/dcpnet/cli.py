@@ -55,16 +55,11 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--dump-predictions", type=int, default=0,
                    help="dump the first N frames as PGM/PPM files")
 
-    s = sub.add_parser("sweep", help="request-threshold or request-size ablation")
+    s = sub.add_parser("sweep", help="request-threshold ablation of one or more checkpoints")
     s.add_argument("--dataset", required=True)
-    source = s.add_mutually_exclusive_group(required=True)
-    source.add_argument("--ckpt", help="trained checkpoint: sweep the request threshold")
-    source.add_argument("--train-dataset", help="training set: retrain and sweep the request size")
-    s.add_argument("--grid", type=float, nargs="*", default=None)
-    s.add_argument("--epochs", type=int, default=20)
-    s.add_argument("--lr", type=float, default=2e-3)
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--request-threshold", type=float, default=0.8)
+    s.add_argument("--ckpt", required=True, nargs="+", help="trained DCP-Net checkpoints")
+    s.add_argument("--grid", type=float, nargs="+", default=None,
+                   help="request thresholds (default 0.0 to 1.0 in steps of 0.1)")
     s.add_argument("--out", required=True)
 
     r = sub.add_parser("report", help="rewrite tables.csv from a metrics.json")
@@ -145,16 +140,11 @@ def _cmd_eval(args) -> int:
 
 def _cmd_sweep(args) -> int:
     dataset = scenes.load_dataset(args.dataset)
-    if args.ckpt is not None:
-        cfg, params = harness.load_model("dcp-net", dataset, args.ckpt)
-        rows = harness.sweep_request_threshold(dataset, params, cfg, args.grid)
-        harness.sweep_rows_to_csv(rows, args.out, "threshold")
-    else:
-        train_set = scenes.load_dataset(args.train_dataset)
-        cfg = harness.model_config(dataset, request_threshold=args.request_threshold)
-        tcfg = TrainConfig(lr=args.lr, epochs=args.epochs, seed=args.seed)
-        rows = harness.sweep_request_size(train_set, dataset, cfg, tcfg, args.grid or (2, 8, 32, 128))
-        harness.sweep_rows_to_csv(rows, args.out, "request_dim")
+    # every checkpoint must fit the dataset before the first frame runs
+    models = [harness.load_model("dcp-net", dataset, ckpt) for ckpt in args.ckpt]
+    rows = [row for cfg, params in models
+            for row in harness.sweep_request_threshold(dataset, params, cfg, args.grid)]
+    harness.sweep_rows_to_csv(rows, args.out)
     print(f"wrote sweep table to {args.out}")
     return 0
 

@@ -58,10 +58,6 @@ class ModelConfig:
         """Wire payload of one feature grant (float32)."""
         return 4 * self.feature_size * self.feature_size * self.feature_channels
 
-    @property
-    def request_bytes(self) -> int:
-        return 4 * self.request_dim
-
 
 @dataclass
 class WorldSpec:

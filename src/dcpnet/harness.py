@@ -173,11 +173,11 @@ def run_experiment(
 
 @dataclass
 class SweepRow:
-    knob: float
+    request_dim: int
+    knob: float  # the request threshold
     avg_miou: float
     comm_mbpf: float
     ce: float | None
-    request_bytes: int | None = None
 
 
 def sweep_request_threshold(
@@ -188,48 +188,20 @@ def sweep_request_threshold(
 ) -> list[SweepRow]:
     """One inference pass per threshold over shared trained parameters."""
     grid = [round(0.1 * i, 1) for i in range(11)] if grid is None else list(grid)
-    if any(t < 0 or t > 1 for t in grid):
-        raise InputError("threshold grid must lie in [0, 1]")
+    if not grid or not all(0 <= t <= 1 for t in grid):  # NaN fails both comparisons
+        raise InputError(f"threshold grid {grid} must hold values in [0, 1]")
     # the zero-threshold protocol-off run is the CE referent
     off, _ = evaluate_dcp(dataset, params, replace(cfg, request_threshold=0.0))
     rows = []
     for thresh in grid:
         record, _ = evaluate_dcp(dataset, params, replace(cfg, request_threshold=thresh), off.miou_avg)
-        rows.append(SweepRow(thresh, record.miou_avg, record.comm_cost_mbpf, record.ce))
+        rows.append(SweepRow(cfg.request_dim, thresh, record.miou_avg, record.comm_cost_mbpf, record.ce))
     return rows
 
 
-def sweep_request_size(
-    train_set: list[SceneSample],
-    val_set: list[SceneSample],
-    cfg: ModelConfig,
-    tcfg: TrainConfig,
-    grid=(2, 8, 32, 128),
-) -> list[SweepRow]:
-    """Retrain the request pathway per request size, then score it as a one-row
-    threshold sweep at `cfg.request_threshold`, relabelled with the size."""
-    if model_config(train_set) != model_config(val_set):
-        raise InputError("the training and validation sets differ in platform count, view size or classes")
-    for r in grid:
-        if not float(r).is_integer():
-            raise InputError(f"request size {r} is not a whole number")
-    rows = []
-    for r in grid:
-        cfg_r = replace(cfg, request_dim=int(r))  # raises ConfigError when r > qk dim
-        params, _ = train_method("dcp-net", train_set, cfg_r, tcfg)
-        [row] = sweep_request_threshold(val_set, params, cfg_r, [cfg_r.request_threshold])
-        rows.append(replace(row, knob=int(r), request_bytes=cfg_r.request_bytes))
-    return rows
-
-
-def sweep_rows_to_csv(rows: list[SweepRow], path, knob_name: str) -> None:
-    sized = any(row.request_bytes is not None for row in rows)
-    header = f"{knob_name},avg_miou,mbpf,ce" + (",request_bytes" if sized else "")
-    lines = [header]
+def sweep_rows_to_csv(rows: list[SweepRow], path) -> None:
+    lines = ["request_dim,threshold,avg_miou,mbpf,ce"]
     for row in rows:
         ce = "" if row.ce is None else f"{row.ce:.6f}"
-        line = f"{row.knob},{row.avg_miou:.6f},{row.comm_mbpf:.6f},{ce}"
-        if sized:
-            line += f",{row.request_bytes}"
-        lines.append(line)
+        lines.append(f"{row.request_dim},{row.knob},{row.avg_miou:.6f},{row.comm_mbpf:.6f},{ce}")
     Path(path).write_text("\n".join(lines) + "\n")

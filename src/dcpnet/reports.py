@@ -57,11 +57,15 @@ def _read_netpbm(buf: bytes, magic: bytes, channels: int) -> np.ndarray:
     header = _NETPBM_HEADER.match(buf, 2)
     if header is None:
         raise FormatError(f"netpbm header is not three whole numbers: {buf[:40]!r}")
-    w, h, _ = map(int, header.groups())
+    w, h, maxval = map(int, header.groups())
+    if not 1 <= maxval <= 255:
+        raise FormatError(f"netpbm maxval {maxval} outside 1..255 (one byte per sample)")
     size = h * w * channels
     if len(buf) - header.end() < size:
         raise FormatError(f"netpbm payload truncated: {len(buf) - header.end()} of {size} bytes")
     data = np.frombuffer(buf, dtype=np.uint8, count=size, offset=header.end())
+    if size and data.max() > maxval:
+        raise FormatError(f"netpbm sample {data.max()} exceeds maxval {maxval}")
     return data.reshape((h, w) if channels == 1 else (h, w, channels))
 
 

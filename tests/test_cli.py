@@ -1,16 +1,21 @@
 """End-to-end CLI pipeline on a miniature configuration."""
 
 import json
+import re
+import shlex
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dcpnet import cli, harness, protocol as pr, reports, scenes
+from dcpnet import cli, harness, metrics as mt, protocol as pr, reports, scenes
+from dcpnet.errors import InputError
 
 from conftest import small_spec
 
 BENCH_CHECKPOINT = Path(__file__).resolve().parents[1] / "benchmarks" / "checkpoint"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_gen_train_eval_sweep_report_pipeline(tmp_path, capsys):
@@ -50,7 +55,7 @@ def test_gen_train_eval_sweep_report_pipeline(tmp_path, capsys):
         "--grid", "0.0", "0.5", "1.0", "--out", str(sweep),
     ])
     assert rc == 0
-    assert sweep.read_text().splitlines()[0] == "threshold,avg_miou,mbpf,ce"
+    assert sweep.read_text().splitlines()[0] == "request_dim,threshold,avg_miou,mbpf,ce"
 
     rewritten = tmp_path / "report2"
     rc = cli.main(["report", "--metrics", str(out / "metrics.json"), "--out", str(rewritten)])
@@ -87,7 +92,7 @@ def test_cli_surfaces_typed_errors_as_exit_codes(tmp_path, capsys):
     ])
     assert rc == 1
     rc = cli.main(["sweep", "--dataset", str(tmp_path / "missing"), "--out", str(tmp_path / "s.csv")])
-    assert rc == 2  # argparse: neither --ckpt nor --train-dataset
+    assert rc == 2  # argparse: no --ckpt
     capsys.readouterr()
 
 
@@ -211,22 +216,6 @@ def test_model_shape_comes_from_the_dataset(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("flag", [["--classes", "6"], ["--platforms", "3"]])
-def test_request_size_sweep_needs_sets_of_one_shape(tmp_path, capsys, flag):
-    ds, other = tmp_path / "ds", tmp_path / "other"
-    assert _gen_small(ds, 2) == 0
-    assert cli.main(["gen", "--mode", "homo-cis", "--samples", "2", "--seed", "5", "--out", str(other),
-                     "--world-size", "32", "--view-size", "16", "--classes", "3", "--platforms", "2", *flag]) == 0
-    capsys.readouterr()
-    for train, val in ((ds, other), (other, ds)):
-        rc = cli.main(["sweep", "--dataset", str(val), "--train-dataset", str(train),
-                       "--grid", "2", "--epochs", "1", "--out", str(tmp_path / "s.csv")])
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert err.startswith("error: ") and "differ" in err
-    assert not (tmp_path / "s.csv").exists()
-
-
 def test_empty_evaluation_set_is_a_typed_error(tmp_path, capsys):
     ds, empty, ckpt = tmp_path / "ds", tmp_path / "empty", tmp_path / "ckpt"
     assert _gen_small(ds, 2) == 0
@@ -316,31 +305,102 @@ def test_negative_seed_is_a_typed_error_for_eval_and_experiment(tmp_path, capsys
         assert not (out / "metrics.json").exists()
 
 
-@pytest.mark.parametrize("grid", [["nan"], ["2", "2.7"]], ids=["nan", "fraction"])
-def test_request_size_grid_must_hold_whole_numbers(tmp_path, capsys, monkeypatch, grid):
-    def reached(*args, **kwargs):
-        raise AssertionError("a request size was trained before the grid was checked")
-
-    ds = tmp_path / "ds"
-    assert _gen_small(ds, 2) == 0
-    monkeypatch.setattr(harness, "train_method", reached)
-    capsys.readouterr()
-    rc = cli.main(["sweep", "--dataset", str(ds), "--train-dataset", str(ds),
-                   "--grid", *grid, "--epochs", "1", "--out", str(tmp_path / "s.csv")])
-    err = capsys.readouterr().err
-    assert rc == 1
-    assert err.startswith("error: ") and f"request size {float(grid[-1])} " in err
-    assert not (tmp_path / "s.csv").exists()
-
-
-@pytest.mark.parametrize("source", [[], ["--ckpt", "c", "--train-dataset", "t"]], ids=["neither", "both"])
-def test_sweep_takes_a_checkpoint_or_a_training_set(tmp_path, capsys, source):
-    # the dataset is never read: argparse rejects the call first
+@pytest.mark.parametrize("source,named", [
+    pytest.param([], "--ckpt", id="neither"),
+    pytest.param(["--ckpt", "c", "--train-dataset", "t"], "--train-dataset", id="both"),
+    pytest.param(["--ckpt", "c", "--epochs", "1"], "--epochs", id="epochs"),
+    pytest.param(["--ckpt", "c", "--lr", "1e-3"], "--lr", id="lr"),
+    pytest.param(["--ckpt", "c", "--seed", "1"], "--seed", id="seed"),
+    pytest.param(["--ckpt", "c", "--request-threshold", "0.5"], "--request-threshold", id="request-threshold"),
+])
+def test_sweep_takes_a_checkpoint_or_a_training_set(tmp_path, capsys, source, named):
+    # sweep takes checkpoints only; the dataset is never read: argparse rejects the call first
     rc = cli.main(["sweep", "--dataset", str(tmp_path / "missing"), *source, "--out", str(tmp_path / "s.csv")])
     err = capsys.readouterr().err
     assert rc == 2
-    assert "error: " in err and "--ckpt" in err and "--train-dataset" in err
+    assert "error: " in err and named in err
     assert not (tmp_path / "s.csv").exists()
+
+
+def test_sweep_scores_each_checkpoint_against_its_own_protocol_off_pass(tmp_path, capsys):
+    ds, out = tmp_path / "ds", tmp_path / "s.csv"
+    assert _gen_small(ds, 4) == 0
+    ckpts = [tmp_path / f"r{r}" for r in (2, 8)]
+    for seed, (r, ckpt) in enumerate(zip((2, 8), ckpts)):  # two seeds, so the two referents differ
+        assert cli.main(["train", "--dataset", str(ds), "--ckpt", str(ckpt), "--epochs", "1",
+                         "--request-dim", str(r), "--seed", str(seed)]) == 0
+    rc = cli.main(["sweep", "--dataset", str(ds), "--ckpt", *map(str, ckpts),
+                   "--grid", "0.5", "1.0", "--out", str(out)])
+    assert rc == 0
+    capsys.readouterr()
+    lines = out.read_text().splitlines()
+    assert lines[0] == "request_dim,threshold,avg_miou,mbpf,ce"
+    assert [line.split(",")[:2] for line in lines[1:]] == [["2", "0.5"], ["2", "1.0"], ["8", "0.5"], ["8", "1.0"]]
+    dataset = scenes.load_dataset(ds)
+    offs = []
+    for ckpt, group in zip(ckpts, (lines[1:3], lines[3:5])):
+        cfg, params = harness.load_model("dcp-net", dataset, ckpt)
+        off, _ = harness.evaluate_dcp(dataset, params, replace(cfg, request_threshold=0.0))
+        offs.append(off.miou_avg)
+        for line, thresh in zip(group, (0.5, 1.0)):
+            record, _ = harness.evaluate_dcp(dataset, params, replace(cfg, request_threshold=thresh))
+            ce = mt.collaboration_efficiency(record.miou_avg, off.miou_avg, record.comm_cost_mbpf)
+            assert line.split(",")[2:] == [f"{record.miou_avg:.6f}", f"{record.comm_cost_mbpf:.6f}",
+                                           "" if ce is None else f"{ce:.6f}"]
+    assert offs[0] != offs[1]  # so a referent shared by both checkpoints would show
+
+
+def test_every_checkpoint_is_checked_before_any_frame_runs(tmp_path, capsys, monkeypatch):
+    def reached(*args, **kwargs):
+        raise AssertionError("a frame ran before every checkpoint was checked")
+
+    ds, five, ckpt, ckpt5, out = (tmp_path / name for name in ("ds", "five", "ckpt", "ckpt5", "s.csv"))
+    assert _gen_small(ds, 2) == 0
+    assert _gen_small(five, 2, classes="5") == 0
+    for data, dest in ((ds, ckpt), (five, ckpt5)):
+        assert cli.main(["train", "--dataset", str(data), "--ckpt", str(dest), "--epochs", "1"]) == 0
+    monkeypatch.setattr(pr, "run_frame", reached)
+    capsys.readouterr()
+    rc = cli.main(["sweep", "--dataset", str(ds), "--ckpt", str(ckpt), str(ckpt), str(ckpt5), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and "ckpt5" in err and "does not fit" in err
+    assert not out.exists()
+
+
+def test_bad_threshold_grid_fails_before_any_frame_runs(tmp_path, capsys, monkeypatch):
+    def reached(*args, **kwargs):
+        raise AssertionError("a frame ran before the threshold grid was checked")
+
+    ds, ckpt, out = tmp_path / "ds", tmp_path / "ckpt", tmp_path / "s.csv"
+    assert _gen_small(ds, 2) == 0
+    assert cli.main(["train", "--dataset", str(ds), "--ckpt", str(ckpt), "--epochs", "1"]) == 0
+    monkeypatch.setattr(pr, "run_frame", reached)
+    capsys.readouterr()
+    sweep = ["sweep", "--dataset", str(ds), "--ckpt", str(ckpt), "--out", str(out), "--grid"]
+    for grid in (["0.5", "nan"], ["1.5"], ["-0.1", "0.5"]):
+        rc = cli.main([*sweep, *grid])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and "threshold grid" in err
+    assert cli.main(sweep) == 2  # --grid with no values
+    capsys.readouterr()
+    assert not out.exists()
+    dataset = scenes.load_dataset(ds)
+    cfg, params = harness.load_model("dcp-net", dataset, ckpt)
+    with pytest.raises(InputError, match="threshold grid"):
+        harness.sweep_request_threshold(dataset, params, cfg, [])
+
+
+def test_readme_commands_parse():
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(), re.M | re.S)
+    commands = [line for block in blocks for line in block.splitlines() if line.startswith("dcpnet ")]
+    assert len(commands) >= 10
+    for line in commands:
+        try:
+            cli.build_parser().parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
 
 
 def test_negative_dump_count_fails_before_any_frame_runs(tmp_path, capsys, monkeypatch):

@@ -115,6 +115,9 @@ def test_pgm_ppm_round_trip(tmp_path):
     pytest.param(b"P5\n# c", id="unterminated-comment"),
     pytest.param(b"P5\nx 4\n255\n", id="non-integer-field"),
     pytest.param(b"P5\n2 2\n255\n\x00", id="short-payload"),
+    pytest.param(b"P5\n2 2\n65535\n" + bytes(range(8)), id="16-bit-maxval"),
+    pytest.param(b"P5\n1 1\n0\n\x00", id="zero-maxval"),
+    pytest.param(b"P5\n2 1\n3\n\x03\x04", id="sample-above-maxval"),
 ])
 def test_malformed_netpbm_is_a_format_error(tmp_path, buf):
     (tmp_path / "m.pgm").write_bytes(buf)
@@ -151,9 +154,10 @@ def test_metrics_json_round_trip(tmp_path):
 
 
 def test_sweep_rows_csv(tmp_path):
-    rows = [harness.SweepRow(0.5, 0.61, 0.004, 25.0),
-            harness.SweepRow(0.8, 0.63, 0.006, 30.0, request_bytes=128)]
-    harness.sweep_rows_to_csv(rows, tmp_path / "sweep.csv", "threshold")
+    rows = [harness.SweepRow(4, 0.5, 0.61, 0.004, 25.0),
+            harness.SweepRow(32, 0.8, 0.63, 0.0, None)]
+    harness.sweep_rows_to_csv(rows, tmp_path / "sweep.csv")
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
-    assert lines[0] == "threshold,avg_miou,mbpf,ce,request_bytes"
-    assert lines[2].endswith(",128")
+    assert lines == ["request_dim,threshold,avg_miou,mbpf,ce",
+                     "4,0.5,0.610000,0.004000,25.000000",
+                     "32,0.8,0.630000,0.000000,"]

@@ -171,19 +171,6 @@ def test_unknown_baseline_rejected():
         bl.init_baseline_params("telepathy", small_cfg(), 0)
 
 
-def test_request_size_sweep_retrains_per_size():
-    cfg = small_cfg()
-    spec = small_spec()
-    train_set = scenes.make_dataset(spec, "homo-cis", 4, seed=0, n_platforms=2)
-    val_set = scenes.make_dataset(spec, "homo-cis", 2, seed=1, n_platforms=2)
-    tcfg = TrainConfig(lr=1e-3, epochs=1, batch_size=2, seed=0)
-    rows = harness.sweep_request_size(train_set, val_set, cfg, tcfg, grid=(2, 8))
-    assert [r.knob for r in rows] == [2, 8]
-    assert [r.request_bytes for r in rows] == [8, 32]
-    with pytest.raises(ConfigError):
-        harness.sweep_request_size(train_set, val_set, cfg, tcfg, grid=(16,))
-
-
 def test_all_platforms_supervision_trains_every_method():
     cfg = small_cfg(n_platforms=3)
     data = scenes.make_dataset(small_spec(), "homo-pis", 4, seed=0, n_platforms=3)
