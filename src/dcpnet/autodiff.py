@@ -104,15 +104,21 @@ class Tensor:
             raise ContractError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def accumulate(self, g: np.ndarray) -> None:
+    def accumulate(self, g: np.ndarray, fresh: bool = False) -> None:
+        """Add `g` into `.grad`.  `fresh` says the op allocated `g` for this
+        call and hands it to this tensor alone, so a C-ordered float64 `g`
+        becomes `.grad` without a copy."""
         if not self.requires_grad:
             return
         if g.shape != self.data.shape:
             raise ShapeError(f"gradient of shape {g.shape} for a tensor of shape {self.shape}")
         if self.grad is None:
-            # an owned copy of `g` (which may be a view, transpose or broadcast),
-            # C-ordered so that later products of the gradient take the same BLAS path
-            self.grad = np.array(g, dtype=np.float64, order="C")
+            if fresh and isinstance(g, np.ndarray) and g.flags.c_contiguous and g.dtype == np.float64:
+                self.grad = g
+            else:
+                # an owned copy of `g` (which may be a view, transpose or broadcast),
+                # C-ordered so that later products of the gradient take the same BLAS path
+                self.grad = np.array(g, dtype=np.float64, order="C")
         else:
             self.grad += g
 
@@ -146,8 +152,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"mul: shapes {a.shape} vs {b.shape}")
 
     def bw(g):
-        a.accumulate(g * b.data)
-        b.accumulate(g * a.data)
+        a.accumulate(g * b.data, fresh=True)
+        b.accumulate(g * a.data, fresh=True)
 
     return Tensor(a.data * b.data, (a, b), bw)
 
@@ -156,7 +162,7 @@ def affine(x: Tensor, scale: float, shift: float) -> Tensor:
     """scale * x + shift with constant coefficients."""
 
     def bw(g):
-        x.accumulate(scale * g)
+        x.accumulate(scale * g, fresh=True)
 
     return Tensor(scale * x.data + shift, (x,), bw)
 
@@ -168,15 +174,15 @@ def scale_by(x: Tensor, s: Tensor) -> Tensor:
     sv = float(s.data.reshape(()))
 
     def bw(g):
-        x.accumulate(g * sv)
-        s.accumulate(np.sum(g * x.data).reshape(s.shape))
+        x.accumulate(g * sv, fresh=True)
+        s.accumulate(np.sum(g * x.data).reshape(s.shape), fresh=True)
 
     return Tensor(x.data * sv, (x, s), bw)
 
 
 def sum_all(x: Tensor) -> Tensor:
     def bw(g):
-        x.accumulate(np.full_like(x.data, float(g)))
+        x.accumulate(np.full_like(x.data, float(g)), fresh=True)
 
     return Tensor(np.sum(x.data).reshape(()), (x,), bw)
 
@@ -189,7 +195,7 @@ def mean_over(x: Tensor, axes: tuple[int, ...]) -> Tensor:
         count *= x.shape[ax]
 
     def bw(g):
-        x.accumulate(np.broadcast_to(np.expand_dims(g, axes), x.shape) / count)
+        x.accumulate(np.broadcast_to(np.expand_dims(g, axes), x.shape) / count, fresh=True)
 
     return Tensor(np.mean(x.data, axis=axes), (x,), bw)
 
@@ -252,7 +258,7 @@ def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
 
     def bw(g):
-        x.accumulate(g * mask)
+        x.accumulate(g * mask, fresh=True)
 
     return Tensor(np.where(mask, x.data, 0.0), (x,), bw)
 
@@ -266,7 +272,7 @@ def sigmoid(x: Tensor) -> Tensor:
     s[~pos] = ex / (1.0 + ex)
 
     def bw(g):
-        x.accumulate(g * s * (1.0 - s))
+        x.accumulate(g * s * (1.0 - s), fresh=True)
 
     return Tensor(s, (x,), bw)
 
@@ -281,7 +287,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
     def bw(g):
         inner = np.sum(g * p, axis=ax, keepdims=True)
-        x.accumulate(p * (g - inner))
+        x.accumulate(p * (g - inner), fresh=True)
 
     return Tensor(p, (x,), bw)
 
@@ -297,8 +303,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: inner dims disagree, {a.shape} x {b.shape}")
 
     def bw(g):
-        a.accumulate(g @ b.data.T)
-        b.accumulate(a.data.T @ g)
+        a.accumulate(g @ b.data.T, fresh=True)
+        b.accumulate(a.data.T @ g, fresh=True)
 
     return Tensor(a.data @ b.data, (a, b), bw)
 
@@ -315,9 +321,9 @@ def conv1x1(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def bw(g):
         gf = g.reshape(h * wd, cout)
-        x.accumulate((gf @ w.data.T).reshape(x.shape))
-        w.accumulate(x.data.reshape(h * wd, c).T @ gf)
-        b.accumulate(gf.sum(axis=0))
+        x.accumulate((gf @ w.data.T).reshape(x.shape), fresh=True)
+        w.accumulate(x.data.reshape(h * wd, c).T @ gf, fresh=True)
+        b.accumulate(gf.sum(axis=0), fresh=True)
 
     flat = x.data.reshape(h * wd, c) @ w.data + b.data
     return Tensor(flat.reshape(h, wd, cout), (x, w, b), bw)
@@ -338,6 +344,31 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
     return taps.reshape(ho * wo, kh * kw * c), ho, wo
 
 
+def _col2im(dcols: np.ndarray, shape, kh: int, kw: int, stride: int, pad: int, ho: int, wo: int):
+    """Scatter-add of d(cols) back onto an input of `shape`.
+
+    Each padded input position sums its taps in (i, j) order, as a slice
+    loop over the taps does, but every add is one contiguous block: tap
+    (i, j) lands in stride-phase plane (i % stride, j % stride) at a fixed
+    flat offset, given taps-major copies laid out on the plane's own grid.
+    The zeros of that grid fall on other positions or the slack, and adding
+    zero changes no sum that starts from zero.
+    """
+    h, w, c = shape
+    s, taps = stride, kh * kw
+    hq, wq = -(-(h + 2 * pad) // s), -(-(w + 2 * pad) // s)
+    tapped = np.zeros((taps, hq, wq, c))
+    tapped[:, :ho, :wo] = dcols.reshape(ho, wo, taps, c).transpose(2, 0, 1, 3)
+    n = hq * wq * c
+    planes = np.zeros((s, s, n + ((kh - 1) // s * wq + (kw - 1) // s) * c))
+    for t in range(taps):
+        i, j = divmod(t, kw)
+        at = (i // s * wq + j // s) * c
+        planes[i % s, j % s, at : at + n] += tapped[t].reshape(n)
+    dxp = planes[:, :, :n].reshape(s, s, hq, wq, c).transpose(2, 0, 3, 1, 4).reshape(s * hq, s * wq, c)
+    return dxp[pad : pad + h, pad : pad + w].copy()
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     """2-D convolution on H x W x Cin with a kh x kw x Cin x Cout kernel."""
     if x.data.ndim != 3 or w.data.ndim != 4:
@@ -350,18 +381,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
 
     def bw(g):
         gf = g.reshape(ho * wo, cout)
-        w.accumulate((cols.T @ gf).reshape(w.shape))
-        b.accumulate(gf.sum(axis=0))
-        if not x.requires_grad:
-            return
-        # scatter-add of d(cols) back onto the padded input
-        dcols = (gf @ wf.T).reshape(ho, wo, kh, kw, cin)
-        h, wd, _ = x.shape
-        dxp = np.zeros((h + 2 * pad, wd + 2 * pad, cin))
-        for i in range(kh):
-            for j in range(kw):
-                dxp[i : i + stride * ho : stride, j : j + stride * wo : stride, :] += dcols[:, :, i, j, :]
-        x.accumulate(dxp[pad : pad + h, pad : pad + wd, :] if pad else dxp)
+        w.accumulate((cols.T @ gf).reshape(w.shape), fresh=True)
+        b.accumulate(gf.sum(axis=0), fresh=True)
+        if x.requires_grad:
+            x.accumulate(_col2im(gf @ wf.T, x.shape, kh, kw, stride, pad, ho, wo), fresh=True)
 
     return Tensor((cols @ wf + b.data).reshape(ho, wo, cout), (x, w, b), bw)
 
@@ -373,7 +396,16 @@ def upsample_nearest(x: Tensor, factor: int) -> Tensor:
     h, w, c = x.shape
 
     def bw(g):
-        x.accumulate(g.reshape(h, factor, w, factor, c).sum(axis=(1, 3)))
+        blocks = g.reshape(h, factor, w, factor, c)
+        if c > 1:
+            # numpy's sum over axes (1, 3) adds each channel vector's factor**2
+            # offsets in (i, j) order; a blocks-major copy summed along axis 0
+            # adds them in the same order, without the per-row loop.  With one
+            # channel numpy reduces j innermost, so that case keeps its formula.
+            blocks = blocks.transpose(1, 3, 0, 2, 4).reshape(factor * factor, h, w, c)
+            x.accumulate(blocks.sum(axis=0), fresh=True)
+        else:
+            x.accumulate(blocks.sum(axis=(1, 3)), fresh=True)
 
     return Tensor(np.repeat(np.repeat(x.data, factor, axis=0), factor, axis=1), (x,), bw)
 
@@ -389,22 +421,36 @@ def cross_entropy(logits: Tensor, target: np.ndarray) -> Tensor:
     target = np.asarray(target)
     if target.shape != (h, w):
         raise ShapeError(f"cross_entropy: target shape {target.shape} vs logits {logits.shape}")
+    if not np.issubdtype(target.dtype, np.integer):
+        raise InputError(f"cross_entropy: class ids must be integers, got dtype {target.dtype}")
     if target.min() < 0 or target.max() >= k:
         raise InputError(f"cross_entropy: class ids outside [0, {k})")
-    # a running max over class slices: exact, and far cheaper than np.max
-    # along a short trailing axis
-    top = logits.data[:, :, 0].copy()
+    # on the flat (HW, K) matrix the class max and class sum run over class
+    # columns, exact and far cheaper than numpy's loop along a short row
+    flat = logits.data.reshape(h * w, k)
+    top = flat[:, 0].copy()
     for c in range(1, k):
-        np.maximum(top, logits.data[:, :, c], out=top)
-    z = logits.data - top[:, :, None]
-    lse = np.log(np.sum(np.exp(z), axis=2))
-    picked = np.take_along_axis(z, target[:, :, None], axis=2)[:, :, 0]
+        np.maximum(top, flat[:, c], out=top)
+    z = flat - top[:, None]
+    e = np.exp(z)
+    if k < 8:
+        # numpy sums fewer than 8 terms left to right: the same bits as np.sum
+        total = e[:, 0].copy()
+        for c in range(1, k):
+            total += e[:, c]
+    else:
+        total = np.sum(e, axis=1)
+    lse = np.log(total)
+    at = np.arange(h * w) * k + target.reshape(-1)
+    picked = z.reshape(-1)[at]
 
     def bw(g):
-        p = np.exp(z - lse[:, :, None])
-        onehot = np.zeros_like(p)
-        np.put_along_axis(onehot, target[:, :, None], 1.0, axis=2)
-        logits.accumulate(float(g) * (p - onehot) / (h * w))
+        d = z - lse[:, None]
+        np.exp(d, out=d)
+        d.reshape(-1)[at] -= 1.0   # p - onehot
+        d *= float(g)
+        d /= h * w
+        logits.accumulate(d.reshape(h, w, k), fresh=True)
 
     return Tensor(np.mean(lse - picked).reshape(()), (logits,), bw)
 

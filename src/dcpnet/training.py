@@ -56,24 +56,38 @@ class Adam:
         self.t = 0
 
     def step(self, params: dict[str, Tensor]) -> None:
+        """One update of every parameter that has a gradient.  A non-finite
+        gradient raises ContractError before any parameter, moment or the
+        step count changes."""
+        grads = {name: params[name].grad for name in sorted(params) if params[name].grad is not None}
+        for name, g in grads.items():
+            if not np.all(np.isfinite(g)):
+                raise ContractError(f"non-finite gradient in parameter block {name!r}")
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1**self.t
         bc2 = 1.0 - ADAM_BETA2**self.t
-        for name in sorted(params):
+        for name, g in grads.items():
             p = params[name]
-            g = p.grad
-            if g is None:
-                continue
-            if not np.all(np.isfinite(g)):
-                raise ContractError(f"non-finite gradient in parameter block {name!r}")
             if name not in self.m:
                 self.m[name] = np.zeros_like(p.data)
                 self.v[name] = np.zeros_like(p.data)
-            self.m[name] = ADAM_BETA1 * self.m[name] + (1 - ADAM_BETA1) * g
-            self.v[name] = ADAM_BETA2 * self.v[name] + (1 - ADAM_BETA2) * g * g
-            mhat = self.m[name] / bc1
-            vhat = self.v[name] / bc2
-            p.data = p.data - self.cfg.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+            m, v = self.m[name], self.v[name]
+            # in place, in the operation order of m = b1 * m + (1 - b1) * g
+            # and v = b2 * v + (1 - b2) * g * g
+            m *= ADAM_BETA1
+            m += (1 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            sq = (1 - ADAM_BETA2) * g
+            sq *= g
+            v += sq
+            # lr * mhat / (sqrt(vhat) + eps), with two temporaries
+            step = m / bc1
+            step *= self.cfg.lr
+            den = v / bc2
+            np.sqrt(den, out=den)
+            den += ADAM_EPS
+            step /= den
+            p.data = p.data - step
 
 
 def zero_grad(params: dict[str, Tensor]) -> None:

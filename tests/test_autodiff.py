@@ -135,6 +135,10 @@ def test_cross_entropy_input_validation():
         ad.cross_entropy(logits, np.zeros((3, 3), dtype=int))
     with pytest.raises(InputError):
         ad.cross_entropy(logits, np.full((2, 2), 7))
+    # float or bool class ids are refused before any gather
+    for target in (np.zeros((2, 2)), np.zeros((2, 2), dtype=bool)):
+        with pytest.raises(InputError, match="integers"):
+            ad.cross_entropy(logits, target)
 
 
 def test_item_contract():
@@ -184,7 +188,8 @@ def _cross_entropy_reference(logits, target):
     return np.mean(lse - picked), (np.exp(z - lse[:, :, None]) - onehot) / (h * w)
 
 
-@pytest.mark.parametrize("k", [3, 6, 9])
+# 2..9 classes cross numpy's switch from a left-to-right to a pairwise class sum at 8
+@pytest.mark.parametrize("k", range(2, 10))
 def test_cross_entropy_matches_the_np_max_reference(k):
     target = RNG.integers(0, k, size=(8, 8))
     # small integers tie often: several classes share the max in most pixels
@@ -193,8 +198,45 @@ def test_cross_entropy_matches_the_np_max_reference(k):
         loss = ad.cross_entropy(logits, target)
         backward(loss)
         ref_loss, ref_grad = _cross_entropy_reference(data, target)
-        assert loss.item() == ref_loss
-        assert np.array_equal(logits.grad, ref_grad)
+        assert loss.data.tobytes() == np.float64(ref_loss).tobytes()
+        assert logits.grad.tobytes() == ref_grad.tobytes()
+
+
+def _col2im_loop(dcols, shape, kh, kw, stride, pad, ho, wo):
+    """The kh*kw slice-add scatter that the stride-phase planes replaced."""
+    h, w, c = shape
+    dcols = dcols.reshape(ho, wo, kh, kw, c)
+    dxp = np.zeros((h + 2 * pad, w + 2 * pad, c))
+    for i in range(kh):
+        for j in range(kw):
+            dxp[i : i + stride * ho : stride, j : j + stride * wo : stride, :] += dcols[:, :, i, j, :]
+    return dxp[pad : pad + h, pad : pad + w]
+
+
+@pytest.mark.parametrize("kernel", [(3, 3), (2, 3)])
+@pytest.mark.parametrize("pad", [0, 1, 2])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+def test_conv2d_input_gradient_matches_the_slice_loop(stride, pad, kernel):
+    kh, kw = kernel
+    for h, w, cin, cout in [(9, 7, 3, 4), (11, 12, 1, 5), (32, 32, 8, 16), (16, 16, 16, 32)]:
+        x, wt, b = leaf(h, w, cin), leaf(kh, kw, cin, cout), leaf(cout)
+        y = ad.conv2d(x, wt, b, stride=stride, pad=pad)
+        ho, wo, _ = y.shape
+        g = RNG.normal(size=y.shape)
+        y._backward(g)
+        dcols = g.reshape(ho * wo, cout) @ wt.data.reshape(kh * kw * cin, cout).T
+        ref = _col2im_loop(dcols, x.shape, kh, kw, stride, pad, ho, wo)
+        assert x.grad.tobytes() == np.ascontiguousarray(ref).tobytes()
+
+
+@pytest.mark.parametrize("factor", [1, 2, 8])
+def test_upsample_gradient_matches_the_reshape_sum(factor):
+    for h, w, c in [(8, 8, 6), (3, 5, 2), (7, 3, 1), (1, 1, 3)]:
+        x = leaf(h, w, c)
+        y = ad.upsample_nearest(x, factor)
+        g = RNG.normal(size=y.shape)
+        y._backward(g)
+        assert x.grad.tobytes() == g.reshape(h, factor, w, factor, c).sum(axis=(1, 3)).tobytes()
 
 
 def test_input_without_grad_keeps_none_and_leaves_weight_grads_equal():
@@ -221,6 +263,64 @@ def test_first_gradient_is_an_owned_c_ordered_copy():
     assert np.array_equal(x.grad, first)
     with pytest.raises(ShapeError):
         x.accumulate(g)
+
+
+def _assert_no_shared_gradients(*tensors):
+    """No two gradients share memory, so an in-place add on one leaves the others."""
+    grads = [t.grad for t in tensors]
+    for i, gi in enumerate(grads):
+        for gj in grads[i + 1 :]:
+            assert not np.shares_memory(gi, gj)
+    before = [g.copy() for g in grads]
+    for i, g in enumerate(grads):
+        g += 1.0
+        assert all(np.array_equal(other, old) for j, (other, old) in enumerate(zip(grads, before)) if j != i)
+        g[...] = before[i]
+
+
+def test_gradients_handed_over_without_a_copy_alias_nothing():
+    a = leaf(3, 4)
+    out = ad.mul(a, a)
+    backward(ad.sum_all(out))
+    assert np.array_equal(a.grad, 2.0 * a.data)
+    _assert_no_shared_gradients(a, out)
+
+    a.grad = None
+    out = ad.add(a, a)
+    backward(ad.sum_all(out))
+    assert np.array_equal(a.grad, np.full((3, 4), 2.0))
+    _assert_no_shared_gradients(a, out)
+
+    # one gradient handed to two parents
+    a.grad = None
+    b = leaf(3, 4)
+    out = ad.add(a, b)
+    backward(ad.sum_all(ad.mul(out, Tensor(np.full((3, 4), 3.0)))))
+    assert np.array_equal(a.grad, np.full((3, 4), 3.0)) and np.array_equal(b.grad, a.grad)
+    _assert_no_shared_gradients(a, b, out)
+
+    # a scalar's gradient is reduced to a numpy scalar, which is copied into an array
+    a.grad = None
+    s = Tensor(0.7)
+    backward(ad.sum_all(ad.scale_by(a, s)))
+    assert isinstance(s.grad, np.ndarray) and s.grad.shape == ()
+
+    # one parent, two consumers: the second gradient adds into the first
+    a.grad = None
+    w = Tensor(np.ones((3, 4)))
+    shared = ad.relu(a)
+    backward(ad.add(ad.sum_all(ad.mul(shared, w)), ad.sum_all(ad.affine(shared, 3.0, 0.0))))
+    assert np.array_equal(a.grad, np.where(a.data > 0, 4.0, 0.0))
+    _assert_no_shared_gradients(a, w, shared)
+
+    # a reshape chain passes the same numbers back without sharing them
+    a.grad = None
+    r1 = ad.reshape(a, (4, 3))
+    r2 = ad.reshape(r1, (12,))
+    out = ad.mul(r2, Tensor(np.arange(12.0)))
+    backward(ad.sum_all(out))
+    assert np.array_equal(a.grad, np.arange(12.0).reshape(3, 4))
+    _assert_no_shared_gradients(a, r1, r2, out)
 
 
 # every op, applied to the leaves of `_op_leaves`

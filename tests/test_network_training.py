@@ -60,6 +60,27 @@ def test_adam_rejects_nonfinite_gradients():
         opt.step({"x": x})
 
 
+def test_adam_changes_nothing_when_a_gradient_is_not_finite():
+    from dcpnet.errors import ContractError
+
+    params = harness.init_dcp_params(small_cfg(), 0)
+    opt = Adam(TrainConfig())
+    rng = np.random.default_rng(0)
+    for p in params.values():
+        p.grad = rng.normal(size=p.shape)
+    opt.step(params)
+    for p in params.values():
+        p.grad = rng.normal(size=p.shape)
+    params["smim.w_alpha"].grad.reshape(-1)[0] = np.nan   # sorts after most blocks
+    data = {k: p.data.tobytes() for k, p in params.items()}
+    moments = {k: (opt.m[k].tobytes(), opt.v[k].tobytes()) for k in params}
+    with pytest.raises(ContractError, match="smim.w_alpha"):
+        opt.step(params)
+    assert opt.t == 1
+    assert {k: p.data.tobytes() for k, p in params.items()} == data
+    assert {k: (opt.m[k].tobytes(), opt.v[k].tobytes()) for k in params} == moments
+
+
 def test_train_config_validation():
     for bad in (dict(lr=0.0), dict(lr=float("nan")), dict(lr=float("inf")), dict(epochs=-1),
                 dict(batch_size=0), dict(supervision="sometimes")):
