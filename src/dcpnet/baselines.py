@@ -15,23 +15,21 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .config import ModelConfig
 from .errors import InputError
-from .network import glorot, init_decoder_params, init_encoder_params
+from .network import glorot
 from .scenes import SceneSample
 
 BASELINES = ("no-interaction", "concat-all", "aux-view-attention", "random-selection")
 
 
-def init_baseline_params(kind: str, cfg: ModelConfig, seed: int) -> dict[str, Tensor]:
+def init_head_params(kind: str, cfg: ModelConfig, rng: np.random.Generator) -> dict[str, Tensor]:
+    """The fusion head of baseline `kind`; only concat-all has parameters of its own."""
     if kind not in BASELINES:
         raise InputError(f"unknown baseline {kind!r}")
-    rng = np.random.default_rng(seed)
-    params = init_encoder_params(cfg, rng)
-    params.update(init_decoder_params(cfg, rng))
-    if kind == "concat-all":
-        cin = cfg.n_platforms * cfg.feature_channels
-        params["cat.reduce.w"] = glorot(rng, (cin, cfg.feature_channels), cin, cfg.feature_channels)
-        params["cat.reduce.b"] = Tensor(np.zeros(cfg.feature_channels))
-    return params
+    if kind != "concat-all":
+        return {}
+    cin = cfg.n_platforms * cfg.feature_channels
+    return {"cat.reduce.w": glorot(rng, (cin, cfg.feature_channels), cin, cfg.feature_channels),
+            "cat.reduce.b": Tensor(np.zeros(cfg.feature_channels))}
 
 
 def _pooled_attention_weights(feats: list[Tensor], i: int) -> list[Tensor]:

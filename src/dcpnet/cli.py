@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from . import harness, reports, scenes
 from .baselines import BASELINES
@@ -15,79 +15,83 @@ from .training import TrainConfig
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """An omitted option stays out of `args`, so the library's default is its only one."""
     parser = argparse.ArgumentParser(prog="dcpnet", description="collaborative perception workbench")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gen", help="generate a synthetic multi-view dataset")
+    def command(name, run, help):
+        cmd = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        cmd.set_defaults(run=run)
+        return cmd
+
+    g = command("gen", _cmd_gen, "generate a synthetic multi-view dataset")
     g.add_argument("--mode", choices=scenes.MODES, required=True)
     g.add_argument("--samples", type=int, required=True)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
-    g.add_argument("--world-size", type=int, default=128)
-    g.add_argument("--view-size", type=int, default=64)
-    g.add_argument("--classes", type=int, default=6)
-    g.add_argument("--platforms", type=int, default=4)
-    g.add_argument("--noise-strength", type=float, default=0.72)
-    g.add_argument("--min-separation", type=int, default=None,
+    g.add_argument("--world-size", type=int)
+    g.add_argument("--view-size", type=int)
+    g.add_argument("--classes", type=int)
+    g.add_argument("--platforms", type=int, dest="n_platforms")
+    g.add_argument("--noise-strength", type=float)
+    g.add_argument("--min-separation", type=int, dest="min_view_separation",
                    help="minimum partner-crop distance; default clamps 48 to the world")
 
-    t = sub.add_parser("train", help="train a model on a generated dataset")
+    t = command("train", _cmd_train, "train a model on a generated dataset")
     t.add_argument("--dataset", required=True)
     t.add_argument("--ckpt", required=True, help="output checkpoint directory")
     t.add_argument("--baseline", choices=BASELINES, default=None,
                    help="train a baseline head instead of the full network")
-    t.add_argument("--epochs", type=int, default=20)
-    t.add_argument("--lr", type=float, default=2e-3)
-    t.add_argument("--batch-size", type=int, default=2)
-    t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--supervision", choices=("victim_only", "all_platforms"), default="victim_only")
+    t.add_argument("--epochs", type=int)
+    t.add_argument("--lr", type=float)
+    t.add_argument("--batch-size", type=int)
+    t.add_argument("--seed", type=int)
+    t.add_argument("--supervision", choices=("victim_only", "all_platforms"))
     t.add_argument("--curve", default=None, help="optional loss-curve CSV path")
-    t.add_argument("--request-dim", type=int, default=32, help="compressed request length")
+    t.add_argument("--request-dim", type=int, help="compressed request length (DCP-Net only)")
 
-    e = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
+    e = command("eval", _cmd_eval, "evaluate a checkpoint on a dataset")
     e.add_argument("--dataset", required=True)
     e.add_argument("--ckpt", required=True)
     e.add_argument("--baseline", choices=BASELINES, default=None)
     e.add_argument("--out", required=True)
-    e.add_argument("--comm-accounting", choices=("feature_only", "total"), default="feature_only")
-    e.add_argument("--seed", type=int, default=0)
-    e.add_argument("--request-threshold", type=float, default=0.8)
+    e.add_argument("--comm-accounting", choices=("feature_only", "total"))
+    e.add_argument("--seed", type=int, help="partner draw of random-selection")
+    e.add_argument("--request-threshold", type=float, help="DCP-Net only")
     e.add_argument("--dump-predictions", type=int, default=0,
                    help="dump the first N frames as PGM/PPM files")
 
-    s = sub.add_parser("sweep", help="request-threshold ablation of one or more checkpoints")
+    s = command("sweep", _cmd_sweep, "request-threshold ablation of one or more checkpoints")
     s.add_argument("--dataset", required=True)
     s.add_argument("--ckpt", required=True, nargs="+", help="trained DCP-Net checkpoints")
-    s.add_argument("--grid", type=float, nargs="+", default=None,
+    s.add_argument("--grid", type=float, nargs="+",
                    help="request thresholds (default 0.0 to 1.0 in steps of 0.1)")
     s.add_argument("--out", required=True)
 
-    r = sub.add_parser("report", help="rewrite tables.csv from a metrics.json")
+    r = command("report", _cmd_report, "rewrite tables.csv from a metrics.json")
     r.add_argument("--metrics", required=True)
     r.add_argument("--out", required=True)
 
-    x = sub.add_parser("experiment", help="train and compare the methods of one budgeted experiment")
+    x = command("experiment", _cmd_experiment, "train and compare the methods of one budgeted experiment")
     x.add_argument("--mode", choices=tuple(harness.EXPERIMENT_METHODS), required=True)
-    x.add_argument("--train-samples", type=int, default=512)
-    x.add_argument("--val-samples", type=int, default=128)
-    x.add_argument("--seed", type=int, default=7)
-    x.add_argument("--noise-strength", type=float, default=0.72)
+    x.add_argument("--train-samples", type=int)
+    x.add_argument("--val-samples", type=int)
+    x.add_argument("--seed", type=int)
+    x.add_argument("--noise-strength", type=float)
     x.add_argument("--out", default=None, help="report directory (default runs/<mode>)")
 
     return parser
 
 
+def _given(args, *names) -> dict:
+    """The options among `names` that the user set."""
+    return {k: v for k, v in vars(args).items() if k in names}
+
+
 def _cmd_gen(args) -> int:
-    sep = args.min_separation
-    if sep is None:
-        sep = min(48, args.world_size - args.view_size)
-    spec = WorldSpec(
-        world_size=args.world_size, view_size=args.view_size, classes=args.classes,
-        min_view_separation=sep,
-    )
+    spec = WorldSpec(**_given(args, *(f.name for f in fields(WorldSpec))))
     samples = scenes.make_dataset(
-        spec, args.mode, args.samples, args.seed,
-        n_platforms=args.platforms, noise_strength=args.noise_strength,
+        spec, args.mode, args.samples, args.seed, **_given(args, "n_platforms", "noise_strength")
     )
     scenes.save_dataset(samples, args.out)
     print(f"wrote {len(samples)} samples to {args.out}")
@@ -95,18 +99,17 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    if args.baseline and "request_dim" in args:
+        raise InputError(f"--request-dim sets DCP-Net's request length; {args.baseline} sends no requests")
+    tcfg = TrainConfig(**_given(args, *(f.name for f in fields(TrainConfig))))
     dataset = scenes.load_dataset(args.dataset)
-    cfg = harness.model_config(dataset, request_dim=args.request_dim)
-    tcfg = TrainConfig(
-        lr=args.lr, epochs=args.epochs, batch_size=args.batch_size,
-        seed=args.seed, supervision=args.supervision,
-    )
+    cfg = harness.model_config(dataset, **_given(args, "request_dim"))
     params, curve = harness.train_method(args.baseline or "dcp-net", dataset, cfg, tcfg)
     harness.save_checkpoint(params, args.ckpt)
     if args.curve:
         curve.to_csv(args.curve)
     final = curve.losses[-1] if curve.losses else float("nan")
-    print(f"trained {args.epochs} epochs, final loss {final:.4f}, checkpoint in {args.ckpt}")
+    print(f"trained {tcfg.epochs} epochs, final loss {final:.4f}, checkpoint in {args.ckpt}")
     return 0
 
 
@@ -124,14 +127,18 @@ def _victim_dumps(results, dataset, count: int) -> dict:
 
 
 def _cmd_eval(args) -> int:
+    method = args.baseline or "dcp-net"
     if args.dump_predictions < 0:
         raise InputError(f"--dump-predictions {args.dump_predictions} is negative")
+    if args.baseline and "request_threshold" in args:
+        raise InputError(f"--request-threshold gates DCP-Net's requests; {args.baseline} sends none")
+    if "seed" in args and args.baseline != "random-selection":
+        raise InputError(f"--seed draws random-selection's partners; {method} draws none")
     dataset = scenes.load_dataset(args.dataset)
-    method = args.baseline or "dcp-net"
     cfg, params = harness.load_model(method, dataset, args.ckpt)
-    cfg = replace(cfg, request_threshold=args.request_threshold)
+    cfg = replace(cfg, **_given(args, "request_threshold"))
     record, results = harness.evaluate(
-        method, dataset, params, cfg, comm_accounting=args.comm_accounting, seed=args.seed
+        method, dataset, params, cfg, **_given(args, "comm_accounting", "seed")
     )
     reports.emit_report([record], args.out, _victim_dumps(results, dataset, args.dump_predictions))
     print(f"avg mIoU {100 * record.miou_avg:.2f}, comm {record.comm_cost_mbpf:.4f} MBpf -> {args.out}")
@@ -143,7 +150,7 @@ def _cmd_sweep(args) -> int:
     # every checkpoint must fit the dataset before the first frame runs
     models = [harness.load_model("dcp-net", dataset, ckpt) for ckpt in args.ckpt]
     rows = [row for cfg, params in models
-            for row in harness.sweep_request_threshold(dataset, params, cfg, args.grid)]
+            for row in harness.sweep_request_threshold(dataset, params, cfg, **_given(args, "grid"))]
     harness.sweep_rows_to_csv(rows, args.out)
     print(f"wrote sweep table to {args.out}")
     return 0
@@ -160,7 +167,7 @@ def _cmd_experiment(args) -> int:
     out = args.out or f"runs/{args.mode}"
     t0 = time.time()
     run = harness.run_experiment(
-        args.mode, args.train_samples, args.val_samples, args.seed, args.noise_strength
+        args.mode, **_given(args, "train_samples", "val_samples", "seed", "noise_strength")
     )
     records = list(run.records.values())
     print(f"trained and evaluated {len(records)} methods in {time.time() - t0:.0f} s")
@@ -181,16 +188,6 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "gen": _cmd_gen,
-    "train": _cmd_train,
-    "eval": _cmd_eval,
-    "sweep": _cmd_sweep,
-    "report": _cmd_report,
-    "experiment": _cmd_experiment,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -198,7 +195,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (DcpError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -66,7 +66,7 @@ class WorldSpec:
     world_size: int = 128
     view_size: int = 64
     classes: int = 6
-    min_view_separation: int = 48  # Chebyshev distance of partner crops from the first crop
+    min_view_separation: int | None = None  # partner crops' distance; None: min(48, world - view)
 
     def __post_init__(self):
         if self.view_size < 1:
@@ -75,6 +75,8 @@ class WorldSpec:
             raise ConfigError(f"view {self.view_size} larger than world {self.world_size}")
         if self.classes < 2:
             raise ConfigError("need at least 2 classes")
+        if self.min_view_separation is None:
+            self.min_view_separation = min(48, self.world_size - self.view_size)
         if not 0 <= self.min_view_separation <= self.world_size - self.view_size:
             raise ConfigError(
                 f"view separation {self.min_view_separation} not achievable in a "

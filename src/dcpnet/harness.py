@@ -23,14 +23,23 @@ from .tensorio import load_tensor_dict, save_tensor_dict
 from .training import TrainConfig, train
 
 
-def init_dcp_params(cfg: ModelConfig, seed: int) -> dict[str, Tensor]:
-    """Fresh parameter bundle for the full collaborative network."""
+def init_params(method: str, cfg: ModelConfig, seed: int) -> dict[str, Tensor]:
+    """Fresh parameters for DCP-Net ("dcp-net") or one of the baselines: the shared
+    encoder and decoder, then the method's own heads, all drawn from one seeded RNG."""
     rng = np.random.default_rng(seed)
     params = init_encoder_params(cfg, rng)
     params.update(init_decoder_params(cfg, rng))
-    params.update(init_smim_params(cfg, rng))
-    params.update(init_rff_params(cfg, rng))
+    if method == "dcp-net":
+        params.update(init_smim_params(cfg, rng))
+        params.update(init_rff_params(cfg, rng))
+    else:
+        params.update(bl.init_head_params(method, cfg, rng))
     return params
+
+
+def init_dcp_params(cfg: ModelConfig, seed: int) -> dict[str, Tensor]:
+    """`init_params` of DCP-Net."""
+    return init_params("dcp-net", cfg, seed)
 
 
 def save_checkpoint(params: dict[str, Tensor], dirpath) -> None:
@@ -39,13 +48,6 @@ def save_checkpoint(params: dict[str, Tensor], dirpath) -> None:
 
 def load_checkpoint(dirpath) -> dict[str, Tensor]:
     return {k: Tensor(v) for k, v in load_tensor_dict(dirpath).items()}
-
-
-def init_params(method: str, cfg: ModelConfig, seed: int) -> dict[str, Tensor]:
-    """Fresh parameters for DCP-Net ("dcp-net") or one of the baselines."""
-    if method == "dcp-net":
-        return init_dcp_params(cfg, seed)
-    return bl.init_baseline_params(method, cfg, seed)
 
 
 def model_config(dataset: list[SceneSample], **flags) -> ModelConfig:
@@ -99,7 +101,7 @@ def evaluate(
         raise InputError(f"cannot evaluate {method} on an empty dataset")
     results = [pr.run_frame(s, params, cfg, method, seed) for s in dataset]
     preds = [r.predictions for r in results]
-    noisy, normal, avg = mt.split_miou(preds, dataset, dataset[0].victim, cfg.classes)
+    noisy, normal, avg = mt.split_miou(preds, dataset, cfg.classes)
     per_platform = [
         mt.miou([p[i] for p in preds], [s.masks[i] for s in dataset], cfg.classes)
         for i in range(dataset[0].n_platforms)
@@ -141,13 +143,14 @@ def run_experiment(
     train_samples: int = 512,
     val_samples: int = 128,
     seed: int = 7,
-    noise_strength: float = 0.72,
+    noise_strength: float | None = None,
 ) -> Experiment:
     """Train and evaluate every method of `mode` on the same data and budget.
 
     homo-cis compares No-Interaction and DCP-Net on the default world;
     homo-pis compares every method on a dense-overlap 80 px world.  The
-    validation set is seeded with `seed + 1000`.
+    validation set is seeded with `seed + 1000`.  A `noise_strength` of
+    None keeps `make_sample`'s.
     """
     if mode not in EXPERIMENT_METHODS:
         raise InputError(f"unknown experiment {mode!r}, expected one of {tuple(EXPERIMENT_METHODS)}")
@@ -156,9 +159,10 @@ def run_experiment(
             f"an experiment needs samples to train and validate on, got {train_samples} and {val_samples}"
         )
     spec = WorldSpec() if mode == "homo-cis" else WorldSpec(world_size=80, min_view_separation=0)
-    train_set = scenes.make_dataset(spec, mode, train_samples, seed=seed, noise_strength=noise_strength)
+    noise = {} if noise_strength is None else {"noise_strength": noise_strength}
+    train_set = scenes.make_dataset(spec, mode, train_samples, seed=seed, **noise)
     cfg = model_config(train_set)
-    val_set = scenes.make_dataset(spec, mode, val_samples, seed=seed + 1000, noise_strength=noise_strength)
+    val_set = scenes.make_dataset(spec, mode, val_samples, seed=seed + 1000, **noise)
     tcfg = TrainConfig(seed=seed)
     run = Experiment(cfg, val_set, {}, {}, {})
     referent = None

@@ -70,12 +70,12 @@ class MetricsRecord:
         return asdict(self)
 
 
-def split_miou(predictions_per_frame, dataset, platform: int, n_classes: int):
-    """Victim-split mIoU triple (noisy, normal, frame-weighted average)."""
+def split_miou(predictions_per_frame, dataset, n_classes: int):
+    """Victim-split mIoU triple (noisy, normal, frame-weighted average), each frame on its own victim."""
     noisy_p, noisy_t, normal_p, normal_t = [], [], [], []
     for preds, sample in zip(predictions_per_frame, dataset):
-        pred = preds[platform]
-        tgt = sample.masks[platform]
+        pred = preds[sample.victim]
+        tgt = sample.masks[sample.victim]
         if sample.degraded[sample.victim]:
             noisy_p.append(pred)
             noisy_t.append(tgt)

@@ -222,15 +222,11 @@ def make_dataset(
     mode: str,
     n_samples: int,
     seed: int,
-    n_platforms: int = 4,
     **kwargs,
 ) -> list[SceneSample]:
     if n_samples < 1:
         raise InputError(f"sample count {n_samples} is below 1")
-    return [
-        make_sample(spec, mode, frame, seed, n_platforms=n_platforms, **kwargs)
-        for frame in range(n_samples)
-    ]
+    return [make_sample(spec, mode, frame, seed, **kwargs) for frame in range(n_samples)]
 
 
 # ---------------------------------------------------------------------------

@@ -193,7 +193,7 @@ def test_c9_threshold_sweep(toy_cis):
             np.argmax(decode_segmentation(encode_view(Tensor(v), params), params).data, axis=2)
             for v in s.views
         ])
-    _, _, avg = mt.split_miou(preds, val, val[0].victim, cfg.classes)
+    _, _, avg = mt.split_miou(preds, val, cfg.classes)
     assert rows[0].avg_miou == avg
 
 

@@ -1,16 +1,20 @@
 """End-to-end CLI pipeline on a miniature configuration."""
 
+import argparse
+import inspect
 import json
 import re
 import shlex
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dcpnet import cli, harness, metrics as mt, protocol as pr, reports, scenes
-from dcpnet.errors import InputError
+from dcpnet.config import ModelConfig, WorldSpec
+from dcpnet.errors import ConfigError, InputError
+from dcpnet.training import TrainConfig
 
 from conftest import small_spec
 
@@ -429,3 +433,112 @@ def test_one_class_has_one_gray_level_in_every_dump(tmp_path):
     assert (reports.read_pgm(tmp_path / "frame0000_pred.pgm") == 128).all()
     levels = {0: 0, 1: 128, 2: 255}
     assert np.array_equal(reports.read_pgm(tmp_path / "frame0000_mask.pgm"), np.vectorize(levels.get)(mask))
+
+
+@pytest.mark.parametrize("cmd,method,flag", [
+    pytest.param("train", "no-interaction", ["--request-dim", "2"], id="train-request-dim"),
+    pytest.param("eval", "concat-all", ["--request-threshold", "0.1"], id="eval-request-threshold"),
+    pytest.param("eval", "no-interaction", ["--seed", "5"], id="eval-seed-baseline"),
+    pytest.param("eval", None, ["--seed", "5"], id="eval-seed-dcp-net"),
+])
+def test_options_the_method_ignores_are_rejected(tmp_path, capsys, cmd, method, flag):
+    ds, ckpt, out = tmp_path / "ds", tmp_path / "ckpt", tmp_path / "r"
+    baseline = ["--baseline", method] if method else []
+    assert _gen_small(ds, 2) == 0
+    argv = [cmd, "--dataset", str(ds), "--ckpt", str(ckpt), *baseline, *flag]
+    if cmd == "eval":  # a checkpoint the command would otherwise evaluate
+        assert cli.main(["train", "--dataset", str(ds), "--ckpt", str(ckpt), "--epochs", "1", *baseline]) == 0
+        argv += ["--out", str(out)]
+    capsys.readouterr()
+    rc = cli.main(argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: {flag[0]} ") and "Traceback" not in err
+    assert not (out if cmd == "eval" else ckpt).exists()
+
+
+def test_the_separation_default_lives_in_world_spec(tmp_path, capsys):
+    assert WorldSpec().min_view_separation == 48
+    assert WorldSpec(world_size=80).min_view_separation == 16
+    for bad in (17, -1):
+        with pytest.raises(ConfigError, match="separation"):
+            WorldSpec(world_size=80, min_view_separation=bad)
+
+    def gen(out, *flags):
+        return cli.main(["gen", "--mode", "homo-pis", "--samples", "2", "--out", str(out),
+                         "--world-size", "80", "--view-size", "64", *flags])
+
+    ds, bad = tmp_path / "ds", tmp_path / "bad"
+    assert gen(ds) == 0
+    expected = scenes.make_dataset(WorldSpec(world_size=80, min_view_separation=16), "homo-pis", 2, seed=0)
+    for got, want in zip(scenes.load_dataset(ds), expected):
+        assert all(np.array_equal(a, b) for a, b in zip(got.views + got.masks, want.views + want.masks))
+    capsys.readouterr()
+    rc = gen(bad, "--min-separation", "17")
+    err = capsys.readouterr().err
+    assert rc == 1 and err.startswith("error: ") and "separation 17" in err
+    assert not bad.exists()
+
+
+def _tree(root: Path) -> dict:
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_omitted_options_match_the_library_defaults_byte_for_byte(tmp_path, capsys):
+    spec, tcfg, mcfg = WorldSpec(), TrainConfig(), ModelConfig()
+    sample = inspect.signature(scenes.make_sample).parameters
+    spelled = {
+        "gen": ["--world-size", spec.world_size, "--view-size", spec.view_size, "--classes", spec.classes,
+                "--platforms", sample["n_platforms"].default, "--noise-strength", sample["noise_strength"].default,
+                "--min-separation", spec.min_view_separation],
+        "train": ["--epochs", tcfg.epochs, "--lr", tcfg.lr, "--batch-size", tcfg.batch_size, "--seed", tcfg.seed,
+                  "--supervision", tcfg.supervision, "--request-dim", mcfg.request_dim],
+        "eval": ["--comm-accounting", inspect.signature(harness.evaluate).parameters["comm_accounting"].default,
+                 "--request-threshold", mcfg.request_threshold],
+    }
+    trees = []
+    for name, spell in (("omitted", False), ("spelled", True)):
+        root = tmp_path / name
+        ds, ckpt, out = root / "ds", root / "ckpt", root / "report"
+
+        def run(argv, cmd):
+            assert cli.main([*argv, *(map(str, spelled[cmd]) if spell else [])]) == 0
+
+        run(["gen", "--mode", "homo-cis", "--samples", "2", "--out", str(ds)], "gen")
+        run(["train", "--dataset", str(ds), "--ckpt", str(ckpt), "--curve", str(root / "curve.csv")], "train")
+        run(["eval", "--dataset", str(ds), "--ckpt", str(ckpt), "--out", str(out), "--dump-predictions", "1"], "eval")
+        trees.append(_tree(root))
+    capsys.readouterr()
+    assert len(trees[0]) > 20 and trees[0] == trees[1]
+
+
+# the library owners of each subcommand's options; a library default belongs there alone
+OWNERS = {
+    "gen": (WorldSpec, scenes.make_dataset, scenes.make_sample),
+    "train": (TrainConfig, ModelConfig),
+    "eval": (ModelConfig, harness.evaluate),
+    "sweep": (harness.sweep_request_threshold,),
+    "report": (),
+    "experiment": (harness.run_experiment,),
+}
+
+
+def _library_defaults(owner) -> set:
+    if isinstance(owner, type):
+        return {f.name for f in fields(owner)}
+    return {k for k, p in inspect.signature(owner).parameters.items() if p.default is not p.empty}
+
+
+def test_no_option_restates_a_library_default():
+    [commands] = [a.choices for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(commands) == set(OWNERS)
+    checked = set()
+    for name, parser in commands.items():
+        owned = set().union(*map(_library_defaults, OWNERS[name]))
+        for action in parser._actions:
+            if action.dest in owned:
+                checked.add((name, action.dest))
+                assert action.default is argparse.SUPPRESS, f"{name} --{action.dest} restates a library default"
+    assert {("gen", "min_view_separation"), ("gen", "n_platforms"), ("gen", "noise_strength"),
+            ("train", "request_dim"), ("eval", "seed"), ("sweep", "grid"), ("experiment", "seed")} <= checked
+    assert len(checked) == 20

@@ -45,11 +45,28 @@ def test_split_miou_partitions_by_victim_degradation():
     spec = small_spec()
     data = [scenes.make_sample(spec, "homo-cis", f, 0, n_platforms=2) for f in range(12)]
     preds = [[s.masks[i] for i in range(2)] for s in data]   # perfect predictions
-    noisy, normal, avg = mt.split_miou(preds, data, 0, spec.classes)
+    noisy, normal, avg = mt.split_miou(preds, data, spec.classes)
     assert avg == 1.0
     flags = [s.degraded[0] for s in data]
     assert (noisy == 1.0) == any(flags)
     assert (normal == 1.0) == (not all(flags))
+
+
+def test_split_miou_scores_each_frame_on_its_own_victim(tmp_path):
+    scenes.save_dataset(scenes.make_dataset(small_spec(), "homo-pis", 4, seed=0, n_platforms=3), tmp_path)
+    manifest = tmp_path / "manifest.txt"
+    lines = manifest.read_text().splitlines()
+    fields = lines[2].split()   # frame 1
+    fields[4], fields[6] = "2", "001"
+    lines[2] = " ".join(fields)
+    manifest.write_text("\n".join(lines) + "\n")
+    data = scenes.load_dataset(tmp_path)
+    assert [s.victim for s in data] == [0, 2, 0, 0] and data[1].degraded == [False, False, True]
+    # only the victim of each frame predicts its mask; every other platform is wrong everywhere
+    preds = [[s.masks[i] if i == s.victim else (s.masks[i] + 1) % 3 for i in range(3)] for s in data]
+    noisy, normal, avg = mt.split_miou(preds, data, 3)
+    assert noisy == 1.0 and avg == 1.0
+    assert np.isnan(normal) or normal == 1.0
 
 
 def test_selection_accuracy_scores_requests_and_twins():

@@ -129,7 +129,7 @@ def test_baseline_forwards_run_and_train():
     data = scenes.make_dataset(spec, "homo-cis", 4, seed=0, n_platforms=2)
     tcfg = TrainConfig(lr=1e-2, epochs=1, batch_size=2, seed=0)
     for kind in bl.BASELINES:
-        params = bl.init_baseline_params(kind, cfg, 0)
+        params = harness.init_params(kind, cfg, 0)
         curve = training.train(data, params, cfg, tcfg, method=kind)
         assert all(np.isfinite(v) for v in curve.losses)
         results = [pr.run_frame(s, params, cfg, kind) for s in data]
@@ -164,7 +164,7 @@ def test_baseline_grant_counts_follow_regime():
     spec = small_spec()
     data = scenes.make_dataset(spec, "homo-cis", 2, seed=0, n_platforms=3)
     for kind, per_frame in (("concat-all", 2), ("aux-view-attention", 2), ("random-selection", 1)):
-        params = bl.init_baseline_params(kind, cfg, 0)
+        params = harness.init_params(kind, cfg, 0)
         grants = [pr.run_frame(s, params, cfg, kind).ledger.counts()["grant"] for s in data]
         assert sum(grants) == per_frame * len(data)
 
@@ -189,7 +189,18 @@ def test_experiment_rejects_empty_sets_before_training(monkeypatch, train_sample
 
 def test_unknown_baseline_rejected():
     with pytest.raises(InputError):
-        bl.init_baseline_params("telepathy", small_cfg(), 0)
+        harness.init_params("telepathy", small_cfg(), 0)
+
+
+def test_every_method_draws_the_same_encoder_and_decoder_first():
+    cfg = small_cfg()
+    for seed in (0, 7):
+        shared = harness.init_dcp_params(cfg, seed)
+        for method in bl.BASELINES:
+            params = harness.init_params(method, cfg, seed)
+            for key in params.keys() & shared.keys():
+                assert params[key].data.tobytes() == shared[key].data.tobytes()
+            assert set(params) - set(shared) == ({"cat.reduce.w", "cat.reduce.b"} if method == "concat-all" else set())
 
 
 def test_all_platforms_supervision_trains_every_method():
@@ -212,7 +223,7 @@ def test_all_platforms_supervision_trains_every_method():
 def test_random_selection_fuses_the_granted_partner():
     cfg = small_cfg(n_platforms=4)
     data = scenes.make_dataset(small_spec(), "homo-pis", 12, seed=0, n_platforms=4)
-    params = bl.init_baseline_params("random-selection", cfg, 0)
+    params = harness.init_params("random-selection", cfg, 0)
     distinguishable = 0
     for sample in data:
         res = pr.run_frame(sample, params, cfg, "random-selection", seed=3)
