@@ -59,6 +59,10 @@ class ModelConfig:
         return 4 * self.feature_size * self.feature_size * self.feature_channels
 
 
+# smallest world the painter draws: shape radii are drawn from [world // 16, world // 4)
+MIN_WORLD_SIZE = 16
+
+
 @dataclass
 class WorldSpec:
     """Procedural world used to synthesize overlapping multi-view scenes."""
@@ -69,6 +73,8 @@ class WorldSpec:
     min_view_separation: int | None = None  # partner crops' distance; None: min(48, world - view)
 
     def __post_init__(self):
+        if self.world_size < MIN_WORLD_SIZE:
+            raise ConfigError(f"world size {self.world_size} is below {MIN_WORLD_SIZE} pixels")
         if self.view_size < 1:
             raise ConfigError(f"view size {self.view_size} is not positive")
         if self.view_size > self.world_size:

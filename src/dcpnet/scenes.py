@@ -17,6 +17,7 @@ bitwise through the DCPT format.
 
 from __future__ import annotations
 
+import os
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -29,6 +30,7 @@ from .errors import ConfigError, FormatError, InputError
 from .tensorio import load_tensor, read_manifest, save_tensor
 
 MODES = ("homo-cis", "homo-pis", "hetero-pis")
+_KINDS = ("rect", "ellipse", "strip")  # shape kinds of the world painter
 
 SHAPE_DENSITY = 1.0  # expected shapes per 32x32 world patch, roughly
 DEGRADE_PROB = 0.5   # chance that a sample's victim view is degraded
@@ -72,34 +74,50 @@ def _f32(arr: np.ndarray) -> np.ndarray:
 
 
 def generate_world(spec: WorldSpec, rng: np.random.Generator):
-    """Paint one world from `rng`: returns (image H x W x 3, mask H x W)."""
+    """Paint one world from `rng`: returns (image H x W x 3, mask H x W).
+
+    Each shape is painted inside its clipped bounding box (a strip spans
+    the world), one channel plane at a time, so a masked write is a run
+    over one plane rather than over 3-wide pixel rows.  The draws, their
+    order and so the world are those of the full-grid reference painter
+    in tests/test_scenes.py.
+    """
     if spec.classes > len(_PALETTE):
         raise ConfigError(f"at most {len(_PALETTE)} classes supported by the palette")
     n = spec.world_size
-    image = np.empty((n, n, 3))
-    image[:] = _PALETTE[0]
-    image += rng.normal(0.0, 0.02, size=image.shape)
+    planes = rng.normal(0.0, 0.02, size=(n, n, 3)).transpose(2, 0, 1).copy()
+    planes += _PALETTE[0][:, None, None]
     mask = np.zeros((n, n), dtype=np.int64)
 
     n_shapes = rng.poisson(SHAPE_DENSITY * (n / 32) ** 2)
-    yy, xx = np.mgrid[0:n, 0:n]
+    axis = np.arange(n)
     for _ in range(n_shapes):
         cls = int(rng.integers(1, spec.classes))
-        kind = rng.choice(("rect", "ellipse", "strip"))
-        cy, cx = rng.integers(0, n, size=2)
-        ry, rx = rng.integers(n // 16, n // 4, size=2)
-        if kind == "rect":
-            region = (np.abs(yy - cy) <= ry) & (np.abs(xx - cx) <= rx)
-        elif kind == "ellipse":
-            region = ((yy - cy) / ry) ** 2 + ((xx - cx) / rx) ** 2 <= 1.0
-        else:
+        kind = _KINDS[rng.integers(3)]  # the draw of rng.choice(_KINDS)
+        cy, cx = rng.integers(0, n, size=2).tolist()
+        ry, rx = rng.integers(n // 16, n // 4, size=2).tolist()
+        if kind == "strip":
             angle = rng.uniform(0, np.pi)
             width = rng.integers(2, max(3, n // 20))
-            region = np.abs((yy - cy) * np.cos(angle) - (xx - cx) * np.sin(angle)) <= width
+            rows = cols = slice(None)
+            offset = np.subtract.outer((axis - cy) * np.cos(angle), (axis - cx) * np.sin(angle))
+            region = np.abs(offset) <= width
+        else:
+            rows, cols = slice(max(cy - ry, 0), cy + ry + 1), slice(max(cx - rx, 0), cx + rx + 1)
+            dy, dx = axis[rows] - cy, axis[cols] - cx
+            region = ... if kind == "rect" else ((dy / ry) ** 2)[:, None] + (dx / rx) ** 2 <= 1.0
+        # a rect fills its box, so its pixel noise is drawn in the box's shape
+        size = (dy.size, dx.size) if region is ... else (np.count_nonzero(region),)
         color = _PALETTE[cls] + rng.normal(0.0, 0.04, size=3)
-        image[region] = color + rng.normal(0.0, 0.02, size=(int(region.sum()), 3))
-        mask[region] = cls
-    return _f32(np.clip(image, 0.0, 1.0)), mask
+        noise = rng.normal(0.0, 0.02, size=(*size, 3))
+        for c, plane in enumerate(planes):
+            plane[rows, cols][region] = noise[..., c] + color[c]
+        mask[rows, cols][region] = cls
+    np.clip(planes, 0.0, 1.0, out=planes)
+    image = np.empty((n, n, 3))
+    for c, plane in enumerate(planes.astype(np.float32)):  # the _f32 rounding
+        image[:, :, c] = plane
+    return image, mask
 
 
 def crop_views(
@@ -125,11 +143,11 @@ def crop_views(
     if view_size > world:
         raise InputError(f"view {view_size} larger than world {world}")
     hi = world - view_size + 1
-    ovy, ovx = (int(v) for v in rng.integers(0, hi, size=2))
+    ovy, ovx = rng.integers(0, hi, size=2).tolist()
     offsets = [(ovy, ovx)]
     for _ in range(n_views - 1):
         for _try in range(64):
-            oy, ox = (int(v) for v in rng.integers(0, hi, size=2))
+            oy, ox = rng.integers(0, hi, size=2).tolist()
             if max(abs(oy - ovy), abs(ox - ovx)) >= min_sep:
                 break
         offsets.append((oy, ox))
@@ -248,14 +266,15 @@ def save_dataset(samples: list[SceneSample], dirpath) -> None:
         raise InputError(f"samples disagree on the class count: {classes}")
     d = Path(dirpath)
     d.mkdir(parents=True, exist_ok=True)
+    prefix = os.path.join(d, "f")
     lines = [f"count {len(samples)} classes {classes[0]}"]
     for s in samples:
         twin = -1 if s.clean_twin is None else s.clean_twin
         flags = "".join("1" if f else "0" for f in s.degraded)
         lines.append(f"sample {s.frame} {s.mode} {s.seed} {s.victim} {twin} {flags}")
         for i in range(s.n_platforms):
-            save_tensor(d / f"f{s.frame:05d}_view{i}.dcpt", s.views[i])
-            save_tensor(d / f"f{s.frame:05d}_mask{i}.dcpt", s.masks[i].astype(np.float64))
+            save_tensor(f"{prefix}{s.frame:05d}_view{i}.dcpt", s.views[i])
+            save_tensor(f"{prefix}{s.frame:05d}_mask{i}.dcpt", s.masks[i])
     (d / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
@@ -283,7 +302,7 @@ def _parse_sample_line(line: str):
     return frame, mode, seed, victim, twin, [c == "1" for c in flags]
 
 
-def _load_mask(path: Path, classes: int) -> np.ndarray:
+def _load_mask(path: str, classes: int) -> np.ndarray:
     """A mask file as int64 ids, each checked to be a class id in [0, classes)."""
     raw = load_tensor(path)
     ids = raw.astype(np.int64)
@@ -300,7 +319,7 @@ def load_dataset(dirpath) -> list[SceneSample]:
     if len(header) != 4 or header[::2] != ["count", "classes"] or not all(h.isdecimal() for h in header[1::2]):
         raise FormatError(f"manifest {manifest} lacks its 'count N classes K' header")
     expected, classes = int(header[1]), int(header[3])
-    present = {path.name for path in d.iterdir()}
+    present = set(os.listdir(d))
     platform_files: dict[int, list[tuple[int, str]]] = {}  # frame -> (platform index, file name)
     for name in present:
         m = _SAMPLE_FILE.fullmatch(name)
@@ -325,8 +344,8 @@ def load_dataset(dirpath) -> list[SceneSample]:
         for name in names:
             if name not in present:
                 raise FormatError(f"missing tensor file {d / name} listed by frame {frame}")
-        views = [load_tensor(d / name) for name in names[:n]]
-        masks = [_load_mask(d / name, classes) for name in names[n:]]
+        views = [load_tensor(os.path.join(d, name)) for name in names[:n]]
+        masks = [_load_mask(os.path.join(d, name), classes) for name in names[n:]]
         if samples:
             shapes = [a.shape for a in views + masks]
             first = [a.shape for a in samples[0].views + samples[0].masks]

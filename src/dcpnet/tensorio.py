@@ -49,11 +49,13 @@ def tensor_from_bytes(buf: bytes) -> np.ndarray:
 
 
 def save_tensor(path, arr: np.ndarray) -> None:
-    Path(path).write_bytes(tensor_to_bytes(arr))
+    with open(path, "wb") as f:
+        f.write(tensor_to_bytes(arr))
 
 
 def load_tensor(path) -> np.ndarray:
-    return tensor_from_bytes(Path(path).read_bytes())
+    with open(path, "rb") as f:
+        return tensor_from_bytes(f.read())
 
 
 def save_tensor_dict(dirpath, tensors: dict[str, np.ndarray]) -> None:

@@ -118,6 +118,16 @@ def test_gen_rejects_bad_settings_before_writing(tmp_path, capsys, flags):
     assert not (ds / "manifest.txt").exists()
 
 
+@pytest.mark.parametrize("world", ["3", "15"])
+def test_gen_rejects_a_world_below_the_painter_floor(tmp_path, capsys, world):
+    ds = tmp_path / "ds"
+    rc = cli.main(["gen", "--mode", "homo-cis", "--samples", "400", "--out", str(ds), "--world-size", world,
+                   "--view-size", "2", "--min-separation", "0"])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: world size {world} is below 16 pixels"]
+    assert not ds.exists()
+
+
 def test_checkpoint_must_fit_the_dataset(tmp_path, capsys):
     ds, five = tmp_path / "ds", tmp_path / "five"
     assert _gen_small(ds, 2) == 0

@@ -1,14 +1,71 @@
 """World generation, cropping, degradation, dataset persistence."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcpnet import scenes
 from dcpnet.config import NoiseConfig, WorldSpec
 from dcpnet.errors import ConfigError, FormatError, InputError
+from dcpnet.scenes import SHAPE_DENSITY, _PALETTE, _f32
 from dcpnet.tensorio import tensor_to_bytes
 
 from conftest import small_spec
+
+
+def full_grid_world(spec: WorldSpec, rng: np.random.Generator):
+    """Reference painter: every shape is a boolean region over the whole
+    pixel grid, written into the pixel-interleaved image."""
+    if spec.classes > len(_PALETTE):
+        raise ConfigError(f"at most {len(_PALETTE)} classes supported by the palette")
+    n = spec.world_size
+    image = np.empty((n, n, 3))
+    image[:] = _PALETTE[0]
+    image += rng.normal(0.0, 0.02, size=image.shape)
+    mask = np.zeros((n, n), dtype=np.int64)
+
+    n_shapes = rng.poisson(SHAPE_DENSITY * (n / 32) ** 2)
+    yy, xx = np.mgrid[0:n, 0:n]
+    for _ in range(n_shapes):
+        cls = int(rng.integers(1, spec.classes))
+        kind = rng.choice(("rect", "ellipse", "strip"))
+        cy, cx = rng.integers(0, n, size=2)
+        ry, rx = rng.integers(n // 16, n // 4, size=2)
+        if kind == "rect":
+            region = (np.abs(yy - cy) <= ry) & (np.abs(xx - cx) <= rx)
+        elif kind == "ellipse":
+            region = ((yy - cy) / ry) ** 2 + ((xx - cx) / rx) ** 2 <= 1.0
+        else:
+            angle = rng.uniform(0, np.pi)
+            width = rng.integers(2, max(3, n // 20))
+            region = np.abs((yy - cy) * np.cos(angle) - (xx - cx) * np.sin(angle)) <= width
+        color = _PALETTE[cls] + rng.normal(0.0, 0.04, size=3)
+        image[region] = color + rng.normal(0.0, 0.02, size=(int(region.sum()), 3))
+        mask[region] = cls
+    return _f32(np.clip(image, 0.0, 1.0)), mask
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(world=st.integers(16, 160), classes=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
+def test_world_painter_matches_the_full_grid_reference_bitwise(world, classes, seed):
+    spec = WorldSpec(world_size=world, view_size=world, classes=classes)
+    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    ref_image, ref_mask = full_grid_world(spec, ref_rng)
+    image, mask = scenes.generate_world(spec, rng)
+    assert image.dtype == np.float64 and image.flags.c_contiguous and image.shape == (world, world, 3)
+    assert image.tobytes() == ref_image.tobytes()
+    assert mask.dtype == ref_mask.dtype and mask.tobytes() == ref_mask.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_shape_kind_draw_is_the_stream_of_rng_choice():
+    kinds = ("rect", "ellipse", "strip")
+    a, b = np.random.default_rng(11), np.random.default_rng(11)
+    assert [a.choice(kinds) for _ in range(2000)] == [scenes._KINDS[b.integers(3)] for _ in range(2000)]
+    assert a.bit_generator.state == b.bit_generator.state
 
 
 def test_world_is_deterministic_and_consistent():
@@ -117,6 +174,23 @@ def test_worldspec_validation():
         WorldSpec(world_size=128, view_size=64, min_view_separation=100)
     with pytest.raises(ConfigError, match="view size 0"):
         WorldSpec(world_size=32, view_size=0, min_view_separation=0)
+
+
+@pytest.mark.parametrize("world", [1, 3, 4, 15])
+def test_world_below_the_painter_floor_is_rejected(world):
+    # radii are drawn from [world // 16, world // 4): 4-15 px allow a zero
+    # ellipse radius, 1-3 px an empty range
+    with pytest.raises(ConfigError, match=f"world size {world} is below 16 pixels"):
+        WorldSpec(world_size=world, view_size=1, min_view_separation=0)
+
+
+def test_smallest_world_paints_without_a_numeric_warning():
+    spec = WorldSpec(world_size=16, view_size=8, classes=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for seed in range(40):
+            image, mask = scenes.generate_world(spec, np.random.default_rng(seed))
+            assert np.isfinite(image).all() and 0 <= mask.min() and mask.max() < 3
 
 
 def test_bad_noise_strength_and_sample_count_fail_before_generation(tmp_path):
