@@ -15,6 +15,7 @@ file-format boundary.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from contextlib import contextmanager
@@ -72,24 +73,23 @@ def no_grad():
 class Tensor:
     """A float64 array plus its place in the computation graph.
 
-    Leaf tensors (parameters, inputs) have no parents.  Interior nodes
+    The constructor builds leaf tensors (parameters, inputs), which have
+    no parents; ops build interior nodes with `_node`.  Interior nodes
     carry a `_backward` closure that adds d(loss)/d(parent) into each
     parent's `.grad` given d(loss)/d(self).  A tensor built with
     `requires_grad=False` (an input image) keeps `.grad` None.  An op
-    result built under `no_grad()` drops its parents and closure and
-    does not require a gradient.
+    result built under `no_grad()` has no parents or closure and does
+    not require a gradient.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, parents=(), backward_fn=None, requires_grad=True):
+    def __init__(self, data, requires_grad=True):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        if parents and not _grad_mode.enabled:
-            parents, backward_fn, requires_grad = (), None, False
         self.requires_grad = requires_grad
-        self._parents = tuple(parents)
-        self._backward = backward_fn
+        self._parents = ()
+        self._backward = None
 
     @property
     def shape(self):
@@ -126,6 +126,23 @@ class Tensor:
         return f"Tensor(shape={list(self.shape)})"
 
 
+def _node(data, parents: tuple, bw) -> Tensor:
+    """An op's result, with `parents` and backward closure `bw`.
+
+    Op arithmetic on float64 operands already yields a float64 array, or a
+    numpy scalar when the operands are 0-d; only the scalar is wrapped back
+    into a 0-d array.  Under `no_grad()` the node keeps no parents or closure.
+    """
+    t = Tensor.__new__(Tensor)
+    t.data = data if type(data) is np.ndarray else np.asarray(data, dtype=np.float64)
+    t.grad = None
+    if _grad_mode.enabled:
+        t.requires_grad, t._parents, t._backward = True, parents, bw
+    else:
+        t.requires_grad, t._parents, t._backward = False, (), None
+    return t
+
+
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
@@ -136,26 +153,28 @@ def _as_tensor(x) -> Tensor:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"add: shapes {a.shape} vs {b.shape}")
+    ad, bd = a.data, b.data
+    if ad.shape != bd.shape:
+        raise ShapeError(f"add: shapes {ad.shape} vs {bd.shape}")
 
     def bw(g):
         a.accumulate(g)
         b.accumulate(g)
 
-    return Tensor(a.data + b.data, (a, b), bw)
+    return _node(ad + bd, (a, b), bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"mul: shapes {a.shape} vs {b.shape}")
+    ad, bd = a.data, b.data
+    if ad.shape != bd.shape:
+        raise ShapeError(f"mul: shapes {ad.shape} vs {bd.shape}")
 
     def bw(g):
-        a.accumulate(g * b.data, fresh=True)
-        b.accumulate(g * a.data, fresh=True)
+        a.accumulate(g * bd, fresh=True)
+        b.accumulate(g * ad, fresh=True)
 
-    return Tensor(a.data * b.data, (a, b), bw)
+    return _node(ad * bd, (a, b), bw)
 
 
 def affine(x: Tensor, scale: float, shift: float) -> Tensor:
@@ -164,7 +183,7 @@ def affine(x: Tensor, scale: float, shift: float) -> Tensor:
     def bw(g):
         x.accumulate(scale * g, fresh=True)
 
-    return Tensor(scale * x.data + shift, (x,), bw)
+    return _node(scale * x.data + shift, (x,), bw)
 
 
 def scale_by(x: Tensor, s: Tensor) -> Tensor:
@@ -177,38 +196,41 @@ def scale_by(x: Tensor, s: Tensor) -> Tensor:
         x.accumulate(g * sv, fresh=True)
         s.accumulate(np.sum(g * x.data).reshape(s.shape), fresh=True)
 
-    return Tensor(x.data * sv, (x, s), bw)
+    return _node(x.data * sv, (x, s), bw)
 
 
 def sum_all(x: Tensor) -> Tensor:
     def bw(g):
         x.accumulate(np.full_like(x.data, float(g)), fresh=True)
 
-    return Tensor(np.sum(x.data).reshape(()), (x,), bw)
+    return _node(x.data.sum(), (x,), bw)
 
 
 def mean_over(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     """Mean over the given axes (used for global average pooling)."""
-    axes = tuple(sorted(ax % x.data.ndim for ax in axes))
+    xd = x.data
+    axes = tuple(sorted([ax % xd.ndim for ax in axes]))
     count = 1
     for ax in axes:
-        count *= x.shape[ax]
+        count *= xd.shape[ax]
 
     def bw(g):
-        x.accumulate(np.broadcast_to(np.expand_dims(g, axes), x.shape) / count, fresh=True)
+        x.accumulate(np.broadcast_to(np.expand_dims(g, axes), xd.shape) / count, fresh=True)
 
-    return Tensor(np.mean(x.data, axis=axes), (x,), bw)
+    # np.mean's arithmetic for float64, without its Python wrapper
+    return _node(np.add.reduce(xd, axis=axes) / count, (x,), bw)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
-    shape = tuple(int(s) for s in shape)
-    if math.prod(shape) != x.size:
-        raise ShapeError(f"reshape: {x.shape} -> {shape}")
+    shape = tuple(map(int, shape))
+    xd = x.data
+    if math.prod(shape) != xd.size:
+        raise ShapeError(f"reshape: {xd.shape} -> {shape}")
 
     def bw(g):
-        x.accumulate(g.reshape(x.shape))
+        x.accumulate(g.reshape(xd.shape))
 
-    return Tensor(x.data.reshape(shape), (x,), bw)
+    return _node(xd.reshape(shape), (x,), bw)
 
 
 def concat(parts: list[Tensor], axis: int) -> Tensor:
@@ -224,7 +246,7 @@ def concat(parts: list[Tensor], axis: int) -> Tensor:
             p.accumulate(g[tuple(idx)])
             lo = hi
 
-    return Tensor(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), bw)
+    return _node(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), bw)
 
 
 def take1d(x: Tensor, i: int) -> Tensor:
@@ -237,7 +259,7 @@ def take1d(x: Tensor, i: int) -> Tensor:
         full[i] = float(g)
         x.accumulate(full)
 
-    return Tensor(x.data[i].reshape(()), (x,), bw)
+    return _node(x.data[i].reshape(()), (x,), bw)
 
 
 def transpose2d(x: Tensor) -> Tensor:
@@ -247,7 +269,7 @@ def transpose2d(x: Tensor) -> Tensor:
     def bw(g):
         x.accumulate(g.T)
 
-    return Tensor(x.data.T, (x,), bw)
+    return _node(x.data.T, (x,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +282,7 @@ def relu(x: Tensor) -> Tensor:
     def bw(g):
         x.accumulate(g * mask, fresh=True)
 
-    return Tensor(np.where(mask, x.data, 0.0), (x,), bw)
+    return _node(np.where(mask, x.data, 0.0), (x,), bw)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -274,22 +296,22 @@ def sigmoid(x: Tensor) -> Tensor:
     def bw(g):
         x.accumulate(g * s * (1.0 - s), fresh=True)
 
-    return Tensor(s, (x,), bw)
+    return _node(s, (x,), bw)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    ax = axis % x.data.ndim if x.data.ndim else 0
-    if x.data.ndim == 0:
+    xd = x.data
+    if xd.ndim == 0:
         raise ShapeError("softmax: scalar input")
-    shifted = x.data - np.max(x.data, axis=ax, keepdims=True)
-    e = np.exp(shifted)
-    p = e / np.sum(e, axis=ax, keepdims=True)
+    ax = axis % xd.ndim
+    e = np.exp(xd - xd.max(axis=ax, keepdims=True))
+    p = e / e.sum(axis=ax, keepdims=True)
 
     def bw(g):
-        inner = np.sum(g * p, axis=ax, keepdims=True)
+        inner = (g * p).sum(axis=ax, keepdims=True)
         x.accumulate(p * (g - inner), fresh=True)
 
-    return Tensor(p, (x,), bw)
+    return _node(p, (x,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -297,51 +319,89 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul: need 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dims disagree, {a.shape} x {b.shape}")
+    ad, bd = a.data, b.data
+    if ad.ndim != 2 or bd.ndim != 2:
+        raise ShapeError(f"matmul: need 2-D operands, got {ad.shape} and {bd.shape}")
+    if ad.shape[1] != bd.shape[0]:
+        raise ShapeError(f"matmul: inner dims disagree, {ad.shape} x {bd.shape}")
 
     def bw(g):
-        a.accumulate(g @ b.data.T, fresh=True)
-        b.accumulate(a.data.T @ g, fresh=True)
+        a.accumulate(g @ bd.T, fresh=True)
+        b.accumulate(ad.T @ g, fresh=True)
 
-    return Tensor(a.data @ b.data, (a, b), bw)
+    return _node(ad @ bd, (a, b), bw)
+
+
+def _bias_grad(gf: np.ndarray) -> np.ndarray:
+    """Column sums of a (rows, cout) gradient, as `gf.sum(axis=0)` computes them.
+
+    On a C-ordered matrix numpy adds whole rows in order, as einsum does
+    without numpy's per-row loop.  A single column or another layout is
+    summed pairwise by numpy, so those keep the plain sum.
+    """
+    if gf.flags.c_contiguous and gf.shape[1] >= 2:
+        return np.einsum("ij->j", gf)
+    return gf.sum(axis=0)
 
 
 def conv1x1(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Per-pixel linear map on an H x W x C grid: equivalent to a matmul
     on the flattened HW x C matrix."""
-    if x.data.ndim != 3 or w.data.ndim != 2:
-        raise ShapeError(f"conv1x1: got x {x.shape}, w {w.shape}")
-    h, wd, c = x.shape
-    cin, cout = w.shape
-    if c != cin or b.shape != (cout,):
-        raise ShapeError(f"conv1x1: x {x.shape}, w {w.shape}, b {b.shape}")
+    xd, wt, bd = x.data, w.data, b.data
+    if xd.ndim != 3 or wt.ndim != 2:
+        raise ShapeError(f"conv1x1: got x {xd.shape}, w {wt.shape}")
+    h, wd, c = xd.shape
+    cin, cout = wt.shape
+    if c != cin or bd.shape != (cout,):
+        raise ShapeError(f"conv1x1: x {xd.shape}, w {wt.shape}, b {bd.shape}")
+    xf = xd.reshape(h * wd, c)
 
     def bw(g):
         gf = g.reshape(h * wd, cout)
-        x.accumulate((gf @ w.data.T).reshape(x.shape), fresh=True)
-        w.accumulate(x.data.reshape(h * wd, c).T @ gf, fresh=True)
-        b.accumulate(gf.sum(axis=0), fresh=True)
+        x.accumulate((gf @ wt.T).reshape(xd.shape), fresh=True)
+        w.accumulate(xf.T @ gf, fresh=True)
+        b.accumulate(_bias_grad(gf), fresh=True)
 
-    flat = x.data.reshape(h * wd, c) @ w.data + b.data
-    return Tensor(flat.reshape(h, wd, cout), (x, w, b), bw)
+    return _node((xf @ wt + bd).reshape(h, wd, cout), (x, w, b), bw)
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
-    """Patch matrix (ho*wo) x (kh*kw*c): one strided view over the padded
-    input, copied out by a single reshape."""
-    h, w, c = x.shape
+def _padded_taps(shape, dtype, kh: int, kw: int, stride: int, pad: int):
+    """A zero-bordered padded buffer for inputs of `shape`, its strided tap
+    view, and whether reshaping that view into the patch matrix is a view
+    too (a 1x1 stride-1 kernel, or one window) that must then be copied."""
+    h, w, c = shape
     ho = (h + 2 * pad - kh) // stride + 1
     wo = (w + 2 * pad - kw) // stride + 1
-    xp = np.zeros((h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
-    xp[pad : pad + h, pad : pad + w, :] = x
+    xp = np.zeros((h + 2 * pad, w + 2 * pad, c), dtype=dtype)
     s0, s1, s2 = xp.strides
     taps = np.lib.stride_tricks.as_strided(
         xp, (ho, wo, kh, kw, c), (stride * s0, stride * s1, s0, s1, s2), writeable=False
     )
-    return taps.reshape(ho * wo, kh * kw * c), ho, wo
+    inner = xp[pad : pad + h, pad : pad + w]
+    aliased = np.shares_memory(taps.reshape(ho * wo, kh * kw * c), xp)
+    return inner, taps, ho, wo, aliased
+
+
+class _PadBuffers(threading.local):
+    """Per thread, so that two threads' convolutions never share a buffer;
+    bounded like `rff._coord_grid`'s cache."""
+
+    def __init__(self):
+        self.get = functools.lru_cache(maxsize=8)(_padded_taps)
+
+
+_pad_buffers = _PadBuffers()
+
+
+def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
+    """Patch matrix (ho*wo) x (kh*kw*c): the input is copied into the
+    interior of this thread's padded buffer for its shape, whose border
+    stays zero, and one strided view over the buffer is copied out by a
+    single reshape.  The result never shares memory with the buffer."""
+    inner, taps, ho, wo, aliased = _pad_buffers.get(x.shape, x.dtype, kh, kw, stride, pad)
+    inner[...] = x
+    cols = taps.reshape(ho * wo, kh * kw * x.shape[2])
+    return (cols.copy() if aliased else cols), ho, wo
 
 
 def _col2im(dcols: np.ndarray, shape, kh: int, kw: int, stride: int, pad: int, ho: int, wo: int):
@@ -371,22 +431,23 @@ def _col2im(dcols: np.ndarray, shape, kh: int, kw: int, stride: int, pad: int, h
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     """2-D convolution on H x W x Cin with a kh x kw x Cin x Cout kernel."""
-    if x.data.ndim != 3 or w.data.ndim != 4:
-        raise ShapeError(f"conv2d: got x {x.shape}, w {w.shape}")
-    kh, kw, cin, cout = w.shape
-    if x.shape[2] != cin or b.shape != (cout,):
-        raise ShapeError(f"conv2d: x {x.shape}, w {w.shape}, b {b.shape}")
-    cols, ho, wo = _im2col(x.data, kh, kw, stride, pad)
-    wf = w.data.reshape(kh * kw * cin, cout)
+    xd, wt, bd = x.data, w.data, b.data
+    if xd.ndim != 3 or wt.ndim != 4:
+        raise ShapeError(f"conv2d: got x {xd.shape}, w {wt.shape}")
+    kh, kw, cin, cout = wt.shape
+    if xd.shape[2] != cin or bd.shape != (cout,):
+        raise ShapeError(f"conv2d: x {xd.shape}, w {wt.shape}, b {bd.shape}")
+    cols, ho, wo = _im2col(xd, kh, kw, stride, pad)
+    wf = wt.reshape(kh * kw * cin, cout)
 
     def bw(g):
         gf = g.reshape(ho * wo, cout)
-        w.accumulate((cols.T @ gf).reshape(w.shape), fresh=True)
-        b.accumulate(gf.sum(axis=0), fresh=True)
+        w.accumulate((cols.T @ gf).reshape(wt.shape), fresh=True)
+        b.accumulate(_bias_grad(gf), fresh=True)
         if x.requires_grad:
-            x.accumulate(_col2im(gf @ wf.T, x.shape, kh, kw, stride, pad, ho, wo), fresh=True)
+            x.accumulate(_col2im(gf @ wf.T, xd.shape, kh, kw, stride, pad, ho, wo), fresh=True)
 
-    return Tensor((cols @ wf + b.data).reshape(ho, wo, cout), (x, w, b), bw)
+    return _node((cols @ wf + bd).reshape(ho, wo, cout), (x, w, b), bw)
 
 
 def upsample_nearest(x: Tensor, factor: int) -> Tensor:
@@ -407,7 +468,7 @@ def upsample_nearest(x: Tensor, factor: int) -> Tensor:
         else:
             x.accumulate(blocks.sum(axis=(1, 3)), fresh=True)
 
-    return Tensor(np.repeat(np.repeat(x.data, factor, axis=0), factor, axis=1), (x,), bw)
+    return _node(np.repeat(np.repeat(x.data, factor, axis=0), factor, axis=1), (x,), bw)
 
 
 def cross_entropy(logits: Tensor, target: np.ndarray) -> Tensor:
@@ -452,7 +513,8 @@ def cross_entropy(logits: Tensor, target: np.ndarray) -> Tensor:
         d /= h * w
         logits.accumulate(d.reshape(h, w, k), fresh=True)
 
-    return Tensor(np.mean(lse - picked).reshape(()), (logits,), bw)
+    # np.mean's arithmetic for float64, without its Python wrapper
+    return _node(np.add.reduce(lse - picked) / (h * w), (logits,), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,10 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError
 
+# smallest view: its stride-8 feature grid must be at least 2 x 2, because
+# RFF's coordinate channels divide by the grid's side minus one
+MIN_VIEW_SIZE = 16
+
 
 @dataclass
 class ModelConfig:
@@ -25,6 +29,10 @@ class ModelConfig:
     def __post_init__(self):
         if self.n_platforms < 2:
             raise ConfigError("need at least 2 platforms")
+        if self.view_size < MIN_VIEW_SIZE:
+            raise ConfigError(
+                f"view size {self.view_size} below {MIN_VIEW_SIZE} (the fusion grid must be at least 2x2)"
+            )
         if self.view_size % 8 != 0:
             raise ConfigError(f"view size {self.view_size} not divisible by 8")
         if self.classes < 2:

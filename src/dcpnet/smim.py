@@ -59,10 +59,16 @@ def _pool_encode(feat: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return ad.reshape(ad.add(ad.matmul(pooled, w), ad.reshape(b, (1, w.shape[1]))), (w.shape[1],))
 
 
+def encode_query(feat: Tensor, params: dict[str, Tensor]) -> Tensor:
+    return _pool_encode(feat, params["smim.q.w"], params["smim.q.b"])
+
+
+def encode_key(feat: Tensor, params: dict[str, Tensor]) -> Tensor:
+    return _pool_encode(feat, params["smim.k.w"], params["smim.k.b"])
+
+
 def encode_query_key(feat: Tensor, params: dict[str, Tensor]) -> tuple[Tensor, Tensor]:
-    q = _pool_encode(feat, params["smim.q.w"], params["smim.q.b"])
-    k = _pool_encode(feat, params["smim.k.w"], params["smim.k.b"])
-    return q, k
+    return encode_query(feat, params), encode_key(feat, params)
 
 
 def self_confidence(q: Tensor, k: Tensor) -> Tensor:

@@ -96,15 +96,17 @@ def zero_grad(params: dict[str, Tensor]) -> None:
 
 
 def soft_fusion(feats: list[Tensor], params: dict[str, Tensor]):
-    """DCP-Net's training-time fusion: every candidate, soft match scores."""
-    qk = [smim.encode_query_key(f, params) for f in feats]
+    """DCP-Net's training-time fusion: every candidate, soft match scores.
+
+    Every view's key is read by every fused platform; a query only by its own.
+    """
+    keys = [smim.encode_key(f, params) for f in feats]
 
     def fuse(i: int) -> Tensor:
-        q, k = qk[i]
-        p = smim.self_confidence(q, k)
+        p = smim.self_confidence(smim.encode_query(feats[i], params), keys[i])
         r = smim.encode_request(feats[i], params)
         relevances = {
-            j: smim.candidate_relevance(r, qk[j][1], params["smim.w_alpha"])
+            j: smim.candidate_relevance(r, keys[j], params["smim.w_alpha"])
             for j in range(len(feats))
             if j != i
         }

@@ -1,10 +1,13 @@
 """Op-level gradient checks and graph-engine contracts."""
 
+import sys
 import threading
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dcpnet import autodiff as ad
 from dcpnet.autodiff import Tensor, backward, grad_check
@@ -177,6 +180,113 @@ def test_im2col_matches_the_slice_loop(stride, pad, c):
     assert cols.flags.c_contiguous
 
 
+def _im2col_gather(x, kh, kw, stride, pad):
+    """The allocate-and-gather im2col that the per-thread padded buffer
+    replaced: a fresh zero-filled padded copy on every call."""
+    h, w, c = x.shape
+    ho = (h + 2 * pad - kh) // stride + 1
+    wo = (w + 2 * pad - kw) // stride + 1
+    xp = np.zeros((h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
+    xp[pad : pad + h, pad : pad + w, :] = x
+    s0, s1, s2 = xp.strides
+    taps = np.lib.stride_tricks.as_strided(
+        xp, (ho, wo, kh, kw, c), (stride * s0, stride * s1, s0, s1, s2), writeable=False
+    )
+    return taps.reshape(ho * wo, kh * kw * c), ho, wo
+
+
+# (h, w, c, (kh, kw), stride, pad) with at least one window
+conv_geometries = st.tuples(
+    st.integers(1, 9), st.integers(1, 9), st.integers(1, 4),
+    st.sampled_from([(1, 1), (3, 3), (2, 3), (1, 3)]), st.integers(1, 3), st.integers(0, 2),
+).filter(lambda g: g[0] + 2 * g[5] >= g[3][0] and g[1] + 2 * g[5] >= g[3][1])
+
+
+# up to 10 geometries, so calls also evict from the 8-entry buffer cache
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(conv_geometries, min_size=1, max_size=10),
+       st.lists(st.integers(0, 9), min_size=1, max_size=16), st.integers(0, 2**32 - 1))
+def test_im2col_buffer_matches_the_gather_and_shares_no_memory(geoms, picks, seed):
+    rng = np.random.default_rng(seed)
+    made = []
+    for k in picks:   # shapes interleave, and a shape recurs with new values
+        h, w, c, (kh, kw), stride, pad = geoms[k % len(geoms)]
+        x = rng.normal(size=(h, w, c))
+        cols, ho, wo = ad._im2col(x, kh, kw, stride, pad)
+        ref, ref_ho, ref_wo = _im2col_gather(x, kh, kw, stride, pad)
+        assert (ho, wo) == (ref_ho, ref_wo) and cols.shape == ref.shape
+        assert cols.tobytes() == ref.tobytes()
+        buffer = ad._pad_buffers.get(x.shape, x.dtype, kh, kw, stride, pad)[0].base
+        assert not np.shares_memory(cols, buffer)
+        made.append((cols, ref))
+    # later calls into the same buffers left every earlier patch matrix as it was
+    assert all(cols.tobytes() == ref.tobytes() for cols, ref in made)
+
+
+def test_1x1_convs_on_one_shape_keep_their_own_patch_matrices():
+    # both convs take a 4x4x3 input; the first one's backward needs its own cols
+    x, w1, b1, w2, b2, mix = leaf(4, 4, 3), leaf(1, 1, 3, 3), leaf(3), leaf(1, 1, 3, 3), leaf(3), leaf(4, 4, 3)
+
+    def f(p):
+        return ad.sum_all(ad.mul(ad.conv2d(ad.conv2d(p[0], p[1], p[2]), p[3], p[4]), mix))
+
+    assert grad_check(f, [x, w1, b1, w2, b2]) < 1e-4
+
+
+def _conv_passes(jobs):
+    out = []
+    for x, w, b, stride, pad in jobs:
+        xt, wt, bt = Tensor(x), Tensor(w), Tensor(b)
+        y = ad.conv2d(xt, wt, bt, stride=stride, pad=pad)
+        backward(ad.sum_all(ad.mul(y, y)))
+        out.append(b"".join(a.tobytes() for a in (y.data, xt.grad, wt.grad, bt.grad)))
+    return out
+
+
+def test_threads_running_interleaved_conv_shapes_match_a_serial_run():
+    rng = np.random.default_rng(5)
+    geoms = [((9, 9, 3), (3, 3), 2, 1), ((8, 8, 8), (3, 3), 1, 1), ((6, 5, 4), (1, 1), 1, 0)]
+    jobs = [
+        (rng.normal(size=shape), rng.normal(size=(kh, kw, shape[2], 4)), rng.normal(size=4), stride, pad)
+        for shape, (kh, kw), stride, pad in geoms * 300
+    ]
+    serial = _conv_passes(jobs)
+    start, seen = threading.Barrier(2), {}
+
+    def worker(name, order):
+        start.wait(timeout=10)
+        seen[name] = _conv_passes(order)
+
+    threads = [threading.Thread(target=worker, args=args) for args in (("ahead", jobs), ("behind", jobs[::-1]))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)   # hand the interpreter over between almost any two lines
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert seen["ahead"] == serial and seen["behind"] == serial[::-1]
+
+
+# 1 column and F order are summed pairwise by numpy: the cases the einsum must not take
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 300), st.integers(1, 40), st.sampled_from(["C", "F", "every other row"]),
+       st.integers(0, 2**32 - 1))
+@example(rows=1024, cols=8, layout="C", seed=0)
+@example(rows=1024, cols=1, layout="C", seed=0)
+@example(rows=1024, cols=8, layout="F", seed=0)
+def test_bias_gradient_keeps_the_bits_of_the_column_sum(rows, cols, layout, seed):
+    gf = np.random.default_rng(seed).normal(size=(2 * rows if layout == "every other row" else rows, cols))
+    if layout == "F":
+        gf = np.asfortranarray(gf)
+    elif layout == "every other row":
+        gf = gf[::2]
+    assert ad._bias_grad(gf).tobytes() == gf.sum(axis=0).tobytes()
+
+
 def _cross_entropy_reference(logits, target):
     """Loss and logit gradient with the class max taken by np.max."""
     h, w, _ = logits.shape
@@ -343,6 +453,15 @@ _OPS = {
     "conv2d": lambda t: ad.conv2d(t.img, t.w, t.b, stride=2, pad=1),
     "upsample_nearest": lambda t: ad.upsample_nearest(t.img, 2),
     "cross_entropy": lambda t: ad.cross_entropy(t.img, t.classes),
+    # 0-d operands, whose numpy arithmetic returns scalars, not arrays
+    "add_0d": lambda t: ad.add(t.s, t.s),
+    "mul_0d": lambda t: ad.mul(t.s, t.s),
+    "affine_0d": lambda t: ad.affine(t.s, 2.5, -1.0),
+    "scale_by_0d": lambda t: ad.scale_by(t.s, t.s),
+    "sum_all_0d": lambda t: ad.sum_all(t.s),
+    "relu_0d": lambda t: ad.relu(t.s),
+    "sigmoid_0d": lambda t: ad.sigmoid(t.s),
+    "reshape_0d": lambda t: ad.reshape(t.s, (1,)),
 }
 
 
@@ -359,6 +478,8 @@ def test_ops_under_no_grad_keep_values_and_build_no_graph(name):
         bare = _OPS[name](leaves)
         loss = ad.sum_all(bare)
     assert np.array_equal(bare.data, with_graph.data)
+    for out in (with_graph, bare):
+        assert type(out.data) is np.ndarray and out.data.dtype == np.float64
     assert with_graph._parents and with_graph._backward is not None
     assert bare._parents == () and bare._backward is None and not bare.requires_grad
     with pytest.raises(ContractError, match="require a gradient"):

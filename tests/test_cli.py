@@ -5,6 +5,7 @@ import inspect
 import json
 import re
 import shlex
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -301,6 +302,23 @@ def test_bad_training_settings_are_typed_errors(tmp_path, capsys, flag):
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error: ") and "Traceback" not in err
+    assert not ckpt.exists()
+
+
+def test_views_below_a_2x2_fusion_grid_fail_before_training(tmp_path, capsys):
+    ds, ckpt = tmp_path / "ds", tmp_path / "ckpt"
+    assert cli.main([
+        "gen", "--mode", "homo-cis", "--samples", "2", "--seed", "4", "--out", str(ds),
+        "--world-size", "32", "--view-size", "8", "--classes", "3", "--platforms", "2",
+    ]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(["train", "--dataset", str(ds), "--ckpt", str(ckpt), "--epochs", "1"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert caught == []
+    assert len(err.splitlines()) == 1 and err.startswith("error: view size 8 below 16")
     assert not ckpt.exists()
 
 

@@ -145,5 +145,8 @@ def test_config_guards():
         ModelConfig(view_size=200)   # fusion grid over the cap
     with pytest.raises(ConfigError):
         ModelConfig(view_size=30)
+    for size in (0, 8):   # a 0x0 or 1x1 fusion grid; 1x1 divides 0/0 in rff._coord_grid
+        with pytest.raises(ConfigError, match="below 16"):
+            ModelConfig(view_size=size)
     with pytest.raises(ConfigError):
         ModelConfig(n_platforms=1)
