@@ -286,12 +286,12 @@ def relu(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    # split by sign to avoid overflow in exp
-    s = np.empty_like(x.data)
-    pos = x.data >= 0
-    s[pos] = 1.0 / (1.0 + np.exp(-x.data[pos]))
-    ex = np.exp(x.data[~pos])
-    s[~pos] = ex / (1.0 + ex)
+    # 1 / (1 + e) for x >= 0 and e / (1 + e) below, with e = exp(-|x|),
+    # which never overflows; a NaN reaches exp unchanged, keeping its sign
+    xd = x.data
+    pos = xd >= 0
+    e = np.exp(np.where(pos, -xd, xd))
+    s = np.where(pos, 1.0, e) / (1.0 + e)
 
     def bw(g):
         x.accumulate(g * s * (1.0 - s), fresh=True)

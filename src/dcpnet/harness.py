@@ -101,11 +101,7 @@ def evaluate(
         raise InputError(f"cannot evaluate {method} on an empty dataset")
     results = [pr.run_frame(s, params, cfg, method, seed) for s in dataset]
     preds = [r.predictions for r in results]
-    noisy, normal, avg = mt.split_miou(preds, dataset, cfg.classes)
-    per_platform = [
-        mt.miou([p[i] for p in preds], [s.masks[i] for s in dataset], cfg.classes)
-        for i in range(dataset[0].n_platforms)
-    ]
+    noisy, normal, avg, per_platform = mt.score_frames(preds, dataset, cfg.classes)
     ledger = pr.CommLedger([e for r in results for e in r.ledger.entries])
     comm = pr.mbpf(ledger, len(dataset), comm_accounting)
     ce = None if baseline_avg_miou is None else mt.collaboration_efficiency(avg, baseline_avg_miou, comm)
@@ -194,7 +190,9 @@ def sweep_request_threshold(
     grid = [round(0.1 * i, 1) for i in range(11)] if grid is None else list(grid)
     if not grid or not all(0 <= t <= 1 for t in grid):  # NaN fails both comparisons
         raise InputError(f"threshold grid {grid} must hold values in [0, 1]")
-    # the zero-threshold protocol-off run is the CE referent
+    # the zero-threshold run is the CE referent; it is protocol-off only while
+    # every confidence is > 0: sigmoid underflows to exactly 0.0 for logits
+    # below about -745, and a confidence of 0.0 requests at threshold 0.0
     off, _ = evaluate_dcp(dataset, params, replace(cfg, request_threshold=0.0))
     rows = []
     for thresh in grid:

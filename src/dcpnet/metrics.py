@@ -9,19 +9,59 @@ import numpy as np
 from .errors import InputError
 
 
+def confusion_stack(predictions, targets, n_classes: int) -> np.ndarray:
+    """One K x K confusion matrix per (prediction, target) pair, stacked: n x K x K.
+
+    The whole list is range-checked once and counted by one bincount.
+    """
+    preds = [np.asarray(p) for p in predictions]
+    tgts = [np.asarray(t) for t in targets]
+    if len(preds) != len(tgts):
+        raise InputError(f"{len(preds)} predictions vs {len(tgts)} targets")
+    sizes = []
+    for pred, tgt in zip(preds, tgts):
+        if pred.shape != tgt.shape:
+            raise InputError(f"prediction {pred.shape} vs target {tgt.shape}")
+        sizes.append(pred.size)
+    ids = np.concatenate(
+        [t.ravel() for t in tgts] + [p.ravel() for p in preds], dtype=np.intp, casting="same_kind"
+    )
+    if ids.view(np.uintp).max() >= n_classes:  # a negative id reads as a huge unsigned one
+        raise InputError(f"class ids outside [0, {n_classes})")
+    n = ids.size // 2
+    idx = ids[:n] * n_classes
+    idx += ids[n:]
+    start = 0
+    for i, size in enumerate(sizes):  # pair i counts into its own K * K block
+        if i:
+            idx[start : start + size] += i * n_classes**2
+        start += size
+    return np.bincount(idx, minlength=len(preds) * n_classes**2).reshape(-1, n_classes, n_classes)
+
+
 def confusion_matrix(predictions, targets, n_classes: int) -> np.ndarray:
     """Pooled K x K confusion matrix (rows: target class, cols: predicted)."""
     total = np.zeros((n_classes, n_classes), dtype=np.int64)
     for pred, tgt in zip(predictions, targets):
-        pred = np.asarray(pred)
-        tgt = np.asarray(tgt)
-        if pred.shape != tgt.shape:
-            raise InputError(f"prediction {pred.shape} vs target {tgt.shape}")
-        if pred.min() < 0 or pred.max() >= n_classes or tgt.min() < 0 or tgt.max() >= n_classes:
-            raise InputError(f"class ids outside [0, {n_classes})")
-        idx = tgt.reshape(-1) * n_classes + pred.reshape(-1)
-        total += np.bincount(idx, minlength=n_classes * n_classes).reshape(n_classes, n_classes)
+        total += confusion_stack([pred], [tgt], n_classes)[0]
     return total
+
+
+def mean_ious(conf: np.ndarray) -> list[float]:
+    """`miou` of each K x K matrix of an n x K x K stack."""
+    tp = np.diagonal(conf, axis1=1, axis2=2).astype(np.float64)
+    union = np.add.reduce(conf, axis=1) + np.add.reduce(conf, axis=2) - tp  # TP + FP + FN, exact
+    present = union > 0
+    ious = tp[present] / union[present]
+    # np.mean's arithmetic per matrix: one add.reduce over its present
+    # classes' IoUs, divided by their count
+    out, start = [], 0
+    for count in present.sum(axis=1).tolist():
+        if not count:
+            raise InputError("no class present in either predictions or targets")
+        out.append(float(np.add.reduce(ious[start : start + count]) / count))
+        start += count
+    return out
 
 
 def miou(predictions, targets, n_classes: int) -> float:
@@ -30,14 +70,7 @@ def miou(predictions, targets, n_classes: int) -> float:
     Classes absent from both predictions and targets are excluded from
     the mean.
     """
-    conf = confusion_matrix(predictions, targets, n_classes)
-    tp = np.diag(conf).astype(np.float64)
-    fp = conf.sum(axis=0) - tp
-    fn = conf.sum(axis=1) - tp
-    present = (tp + fp + fn) > 0
-    if not present.any():
-        raise InputError("no class present in either predictions or targets")
-    return float(np.mean(tp[present] / (tp + fp + fn)[present]))
+    return mean_ious(confusion_matrix(predictions, targets, n_classes)[None])[0]
 
 
 def collaboration_efficiency(miou_collab: float, miou_baseline: float, comm_mbpf: float):
@@ -70,22 +103,33 @@ class MetricsRecord:
         return asdict(self)
 
 
+def score_frames(predictions_per_frame, dataset, n_classes: int):
+    """Victim-split and per-platform mIoU of a run: (noisy, normal, avg, per-platform list).
+
+    Each frame is scored on its own victim.  All are sums over one
+    F x P x K x K confusion tensor, counted one frame at a time so the
+    temporaries stay one frame in size.  A split side without frames
+    scores NaN.
+    """
+    frames = list(zip(predictions_per_frame, dataset))
+    if not frames:
+        raise InputError("no frames to score")
+    conf = np.stack([confusion_stack(preds, s.masks, n_classes) for preds, s in frames])
+    victim_conf = conf[np.arange(len(frames)), [s.victim for _, s in frames]]
+    degraded = [s.degraded[s.victim] for _, s in frames]
+    sides = [[f for f, d in enumerate(degraded) if d], [f for f, d in enumerate(degraded) if not d]]
+    split = all(sides)
+    # when one side holds every frame, its sum is the all-frame sum: scored once
+    pooled = [victim_conf[side].sum(axis=0, keepdims=True) for side in sides] if split else []
+    scores = mean_ious(np.concatenate(pooled + [victim_conf.sum(axis=0, keepdims=True), conf.sum(axis=0)]))
+    if not split:
+        scores = [scores[0] if side else float("nan") for side in sides] + scores
+    return scores[0], scores[1], scores[2], scores[3:]
+
+
 def split_miou(predictions_per_frame, dataset, n_classes: int):
     """Victim-split mIoU triple (noisy, normal, frame-weighted average), each frame on its own victim."""
-    noisy_p, noisy_t, normal_p, normal_t = [], [], [], []
-    for preds, sample in zip(predictions_per_frame, dataset):
-        pred = preds[sample.victim]
-        tgt = sample.masks[sample.victim]
-        if sample.degraded[sample.victim]:
-            noisy_p.append(pred)
-            noisy_t.append(tgt)
-        else:
-            normal_p.append(pred)
-            normal_t.append(tgt)
-    noisy = miou(noisy_p, noisy_t, n_classes) if noisy_p else float("nan")
-    normal = miou(normal_p, normal_t, n_classes) if normal_p else float("nan")
-    avg = miou(noisy_p + normal_p, noisy_t + normal_t, n_classes)
-    return noisy, normal, avg
+    return score_frames(predictions_per_frame, dataset, n_classes)[:3]
 
 
 def selection_accuracy(states_per_frame, dataset):

@@ -51,11 +51,16 @@ def init_smim_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, Te
     }
 
 
-def _pool_encode(feat: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Global-average-pool an H x W x C grid, then one linear map."""
+def _pool(feat: Tensor, w: Tensor) -> Tensor:
+    """Global-average-pool an H x W x C grid into a 1 x C row."""
     if feat.data.ndim != 3 or feat.shape[2] != w.shape[0]:
         raise ShapeError(f"pooled encoder: feature {feat.shape} vs weight {w.shape}")
-    pooled = ad.reshape(ad.mean_over(feat, (0, 1)), (1, w.shape[0]))
+    return ad.reshape(ad.mean_over(feat, (0, 1)), (1, w.shape[0]))
+
+
+def _pool_encode(feat: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Global-average-pool an H x W x C grid, then one linear map."""
+    pooled = _pool(feat, w)
     return ad.reshape(ad.add(ad.matmul(pooled, w), ad.reshape(b, (1, w.shape[1]))), (w.shape[1],))
 
 
@@ -68,7 +73,18 @@ def encode_key(feat: Tensor, params: dict[str, Tensor]) -> Tensor:
 
 
 def encode_query_key(feat: Tensor, params: dict[str, Tensor]) -> tuple[Tensor, Tensor]:
-    return encode_query(feat, params), encode_key(feat, params)
+    """`(encode_query(feat), encode_key(feat))` with equal bits, pooling the grid once.
+
+    Each head adds its bias after the reshape, one op fewer than
+    `_pool_encode`; training keeps `_pool_encode`, so its graph keeps its
+    node count.
+    """
+    q_w, q_b = params["smim.q.w"], params["smim.q.b"]
+    k_w, k_b = params["smim.k.w"], params["smim.k.b"]
+    pooled = _pool(feat, q_w)
+    q = ad.add(ad.reshape(ad.matmul(pooled, q_w), q_b.shape), q_b)
+    k = ad.add(ad.reshape(ad.matmul(pooled, k_w), k_b.shape), k_b)
+    return q, k
 
 
 def self_confidence(q: Tensor, k: Tensor) -> Tensor:
@@ -81,8 +97,8 @@ def self_confidence(q: Tensor, k: Tensor) -> Tensor:
 def decide_request(confidence: float, cfg: ModelConfig) -> bool:
     """Request collaboration unless confidence exceeds the threshold.
 
-    The boundary confidence == threshold resolves to the non-requesting
-    branch (no messages sent).
+    The boundary confidence == threshold requests: only a confidence
+    strictly above the threshold keeps the platform silent.
     """
     return not confidence > cfg.request_threshold
 

@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -523,3 +524,31 @@ def test_no_grad_on_another_thread_leaves_this_thread_recording():
     assert seen["worker"] == ()
     backward(ad.sum_all(out))
     assert np.array_equal(a.grad, np.full((2, 2), 2.0))
+
+
+def _sigmoid_split_by_sign(x):
+    """sigmoid as computed before the branch-free form: each sign in its own boolean-indexed pass."""
+    s = np.empty_like(x)
+    pos = x >= 0
+    s[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    s[~pos] = ex / (1.0 + ex)
+    return s
+
+
+_SIGMOID_EDGES = [0.0, -0.0, 745.0, -745.0, 746.0, -746.0, 1e308, -1e308, 5e-324, -5e-324,
+                  2.2e-308, -2.2e-308, np.inf, -np.inf, np.nan, -np.nan, 1.0, -1.0, 36.7, -36.7]
+
+
+@pytest.mark.parametrize("shape", [(), (20,), (4, 5), (2, 2, 5)])
+def test_sigmoid_keeps_the_bits_of_the_split_by_sign_formula(shape):
+    edges = np.array(_SIGMOID_EDGES)
+    inputs = [np.array(v) for v in edges] if shape == () else [
+        edges.reshape(shape), RNG.normal(scale=40.0, size=shape), RNG.permutation(edges).reshape(shape)
+    ]
+    for x in inputs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ad.sigmoid(Tensor(x)).data
+        assert type(got) is np.ndarray and got.shape == x.shape and got.dtype == np.float64
+        assert got.tobytes() == _sigmoid_split_by_sign(x).tobytes()

@@ -1,6 +1,7 @@
 """DCPT tensor files, checkpoints, report emission, netpbm dumps."""
 
 import json
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from dcpnet.config import WorldSpec
 from dcpnet.errors import FormatError
 from dcpnet.metrics import MetricsRecord
 
-from conftest import small_cfg
+from conftest import NOISE, VAL_SEED, small_cfg
 
 BENCH_CHECKPOINT = Path(__file__).resolve().parents[1] / "benchmarks" / "checkpoint"
 
@@ -91,6 +92,39 @@ def test_load_model_reads_the_benchmark_checkpoint_shape():
     cfg, params = harness.load_model("dcp-net", [sample], BENCH_CHECKPOINT)
     assert (cfg.request_dim, cfg.classes, cfg.n_platforms, cfg.view_size) == (32, 6, 4, 64)
     assert params["rff.theta.w"].shape == (34, 8)
+    assert {p.name: p.read_bytes() for p in BENCH_CHECKPOINT.iterdir()} == before
+
+
+# recorded before `evaluate` scored from one confusion tensor per frame:
+# (request_dim, threshold, avg mIoU, MBpf, CE) of each sweep row
+GOLDEN_SWEEP_ROWS = [
+    (32, 0.0, 0.6283554983339209, 0.0, None),
+    (32, 0.1, 0.6283554983339209, 0.0, None),
+    (32, 0.2, 0.6283554983339209, 0.0, None),
+    (32, 0.3, 0.6283554983339209, 0.0, None),
+    (32, 0.4, 0.6283554983339209, 0.0, None),
+    (32, 0.5, 0.6283554983339209, 0.0, None),
+    (32, 0.6, 0.6488760613010375, 0.0009765625, 2101.305647832737),
+    (32, 0.7, 0.643276847562615, 0.0029296875, 509.31538700609354),
+    (32, 0.8, 0.652775252178274, 0.00390625, 625.1456984154402),
+    (32, 0.9, 0.652775252178274, 0.00390625, 625.1456984154402),
+    (32, 1.0, 0.652775252178274, 0.0341796875, 71.4452226760503),
+]
+GOLDEN_RECORD = MetricsRecord(
+    "dcp-net", 0.5085535358553451, 0.6897490317386739, 0.652775252178274,
+    [0.652775252178274, 0.6963328435315329, 0.7321066008405074, 0.7110671663798241],
+    0.00390625, None, 1.0, 0.5,
+)
+
+
+def test_sweep_and_record_on_the_benchmark_checkpoint_keep_their_recorded_values():
+    before = {p.name: p.read_bytes() for p in BENCH_CHECKPOINT.iterdir()}
+    frames = scenes.make_dataset(WorldSpec(), "homo-cis", 8, seed=VAL_SEED, **NOISE)
+    cfg, params = harness.load_model("dcp-net", frames, BENCH_CHECKPOINT)
+    rows = harness.sweep_request_threshold(frames, params, cfg)
+    assert [astuple(r) for r in rows] == GOLDEN_SWEEP_ROWS
+    record, _ = harness.evaluate_dcp(frames, params, cfg)
+    assert record == GOLDEN_RECORD
     assert {p.name: p.read_bytes() for p in BENCH_CHECKPOINT.iterdir()} == before
 
 

@@ -1,10 +1,12 @@
 """Request/matching decisions and cross-attention fusion."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
-from dcpnet import rff, smim
-from dcpnet.autodiff import Tensor
+from dcpnet import autodiff as ad, rff, smim
+from dcpnet.autodiff import Tensor, backward, no_grad
 from dcpnet.config import ModelConfig
 from dcpnet.errors import ConfigError, ProtocolError, ShapeError
 
@@ -20,6 +22,30 @@ def test_pool_encode_matches_manual():
     out = smim._pool_encode(feat, w, b)
     manual = feat.data.mean(axis=(0, 1)) @ w.data + b.data
     assert np.allclose(out.data, manual, atol=1e-12)
+
+
+@pytest.mark.parametrize("grad", [True, False])
+def test_encode_query_key_pools_once_and_keeps_both_heads_bits(grad):
+    cfg = small_cfg()
+    params = smim.init_smim_params(cfg, np.random.default_rng(3))
+    for p in params.values():
+        p.data += RNG.normal(scale=0.1, size=p.shape)  # nonzero biases
+    feat = Tensor(RNG.normal(size=(2, 2, cfg.feature_channels)), requires_grad=grad)
+    mode = contextlib.nullcontext() if grad else no_grad()
+    with mode:
+        q, k = smim.encode_query_key(feat, params)
+        q_ref, k_ref = smim.encode_query(feat, params), smim.encode_key(feat, params)
+    assert q.data.tobytes() == q_ref.data.tobytes() and k.data.tobytes() == k_ref.data.tobytes()
+    assert q.shape == q_ref.shape == (cfg.qk_dim,) and k.shape == k_ref.shape
+    assert q.requires_grad is k.requires_grad is grad
+    if grad:
+        grads = []
+        for pair in ((q, k), (q_ref, k_ref)):
+            for t in [feat, *params.values()]:
+                t.grad = None
+            backward(ad.sum_all(ad.mul(*pair)))
+            grads.append([None if t.grad is None else t.grad.tobytes() for t in [feat, *params.values()]])
+        assert grads[0] == grads[1]
 
 
 def test_confidence_is_sigmoid_of_dot():
