@@ -55,7 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--ckpt", required=True)
     e.add_argument("--baseline", choices=BASELINES, default=None)
     e.add_argument("--out", required=True)
-    e.add_argument("--comm-accounting", choices=("feature_only", "total"))
     e.add_argument("--seed", type=int, help="partner draw of random-selection")
     e.add_argument("--request-threshold", type=float, help="DCP-Net only")
     e.add_argument("--dump-predictions", type=int, default=0,
@@ -137,9 +136,7 @@ def _cmd_eval(args) -> int:
     dataset = scenes.load_dataset(args.dataset)
     cfg, params = harness.load_model(method, dataset, args.ckpt)
     cfg = replace(cfg, **_given(args, "request_threshold"))
-    record, results = harness.evaluate(
-        method, dataset, params, cfg, **_given(args, "comm_accounting", "seed")
-    )
+    record, results = harness.evaluate(method, dataset, params, cfg, **_given(args, "seed"))
     reports.emit_report([record], args.out, _victim_dumps(results, dataset, args.dump_predictions))
     print(f"avg mIoU {100 * record.miou_avg:.2f}, comm {record.comm_cost_mbpf:.4f} MBpf -> {args.out}")
     return 0

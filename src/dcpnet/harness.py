@@ -91,29 +91,28 @@ def evaluate(
     params: dict[str, Tensor],
     cfg: ModelConfig,
     baseline_avg_miou: float | None = None,
-    comm_accounting: str = "feature_only",
     seed: int = 0,
 ) -> tuple[mt.MetricsRecord, list[pr.FrameResult]]:
     """Run every frame of `dataset` under `method` through the protocol: the victim-split,
-    per-platform and communication metrics, CE against `baseline_avg_miou`, DCP-Net's
-    detect/select accuracy on homo-cis data, and the frame results."""
+    per-platform, feature-only and total MBpf metrics, CE of the feature-only MBpf against
+    `baseline_avg_miou`, DCP-Net's detect/select accuracy on homo-cis data, and the frame results."""
     if not dataset:
         raise InputError(f"cannot evaluate {method} on an empty dataset")
     results = [pr.run_frame(s, params, cfg, method, seed) for s in dataset]
     preds = [r.predictions for r in results]
     noisy, normal, avg, per_platform = mt.score_frames(preds, dataset, cfg.classes)
     ledger = pr.CommLedger([e for r in results for e in r.ledger.entries])
-    comm = pr.mbpf(ledger, len(dataset), comm_accounting)
+    comm, total = (pr.mbpf(ledger, len(dataset), mode) for mode in ("feature_only", "total"))
     ce = None if baseline_avg_miou is None else mt.collaboration_efficiency(avg, baseline_avg_miou, comm)
-    record = mt.MetricsRecord(method, noisy, normal, avg, per_platform, comm, ce)
+    record = mt.MetricsRecord(method, noisy, normal, avg, per_platform, comm, total, ce)
     if method == "dcp-net" and dataset[0].mode == "homo-cis":
         record.detect_acc, record.select_acc = mt.selection_accuracy([r.states for r in results], dataset)
     return record, results
 
 
-def evaluate_dcp(dataset, params, cfg, baseline_avg_miou=None, comm_accounting="feature_only"):
+def evaluate_dcp(dataset, params, cfg, baseline_avg_miou=None):
     """`evaluate` of DCP-Net: the sweeps score through it, and the benchmark traces it by name."""
-    return evaluate("dcp-net", dataset, params, cfg, baseline_avg_miou, comm_accounting)
+    return evaluate("dcp-net", dataset, params, cfg, baseline_avg_miou)
 
 
 # the methods each budgeted experiment compares; the first is the CE referent
@@ -186,17 +185,15 @@ def sweep_request_threshold(
     cfg: ModelConfig,
     grid=None,
 ) -> list[SweepRow]:
-    """One inference pass per threshold over shared trained parameters."""
+    """One inference pass per threshold over shared trained parameters, with each row's CE
+    against the same checkpoint's local decode: every platform alone, nothing sent."""
     grid = [round(0.1 * i, 1) for i in range(11)] if grid is None else list(grid)
     if not grid or not all(0 <= t <= 1 for t in grid):  # NaN fails both comparisons
         raise InputError(f"threshold grid {grid} must hold values in [0, 1]")
-    # the zero-threshold run is the CE referent; it is protocol-off only while
-    # every confidence is > 0: sigmoid underflows to exactly 0.0 for logits
-    # below about -745, and a confidence of 0.0 requests at threshold 0.0
-    off, _ = evaluate_dcp(dataset, params, replace(cfg, request_threshold=0.0))
+    local, _ = evaluate("no-interaction", dataset, params, cfg)
     rows = []
     for thresh in grid:
-        record, _ = evaluate_dcp(dataset, params, replace(cfg, request_threshold=thresh), off.miou_avg)
+        record, _ = evaluate_dcp(dataset, params, replace(cfg, request_threshold=thresh), local.miou_avg)
         rows.append(SweepRow(cfg.request_dim, thresh, record.miou_avg, record.comm_cost_mbpf, record.ce))
     return rows
 

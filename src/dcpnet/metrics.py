@@ -16,8 +16,8 @@ def confusion_stack(predictions, targets, n_classes: int) -> np.ndarray:
     """
     preds = [np.asarray(p) for p in predictions]
     tgts = [np.asarray(t) for t in targets]
-    if len(preds) != len(tgts):
-        raise InputError(f"{len(preds)} predictions vs {len(tgts)} targets")
+    if not preds or len(preds) != len(tgts):
+        raise InputError(f"{len(preds)} predictions vs {len(tgts)} targets (need equal, nonzero counts)")
     sizes = []
     for pred, tgt in zip(preds, tgts):
         if pred.shape != tgt.shape:
@@ -41,6 +41,8 @@ def confusion_stack(predictions, targets, n_classes: int) -> np.ndarray:
 
 def confusion_matrix(predictions, targets, n_classes: int) -> np.ndarray:
     """Pooled K x K confusion matrix (rows: target class, cols: predicted)."""
+    if len(predictions) != len(targets):
+        raise InputError(f"{len(predictions)} predictions vs {len(targets)} targets")
     total = np.zeros((n_classes, n_classes), dtype=np.int64)
     for pred, tgt in zip(predictions, targets):
         total += confusion_stack([pred], [tgt], n_classes)[0]
@@ -94,7 +96,8 @@ class MetricsRecord:
     miou_normal: float                # ... over clean frames
     miou_avg: float                   # ... frame-weighted over all frames
     per_platform_miou: list[float]
-    comm_cost_mbpf: float
+    comm_cost_mbpf: float             # grant payload MB per frame: the feature plane, CE's cost
+    comm_total_mbpf: float            # every DCPM message, headers included, MB per frame
     ce: float | None = None
     detect_acc: float | None = None
     select_acc: float | None = None
@@ -111,9 +114,10 @@ def score_frames(predictions_per_frame, dataset, n_classes: int):
     temporaries stay one frame in size.  A split side without frames
     scores NaN.
     """
+    if not dataset or len(predictions_per_frame) != len(dataset):
+        raise InputError(f"{len(predictions_per_frame)} prediction lists vs {len(dataset)} frames "
+                         "(need equal, nonzero counts)")
     frames = list(zip(predictions_per_frame, dataset))
-    if not frames:
-        raise InputError("no frames to score")
     conf = np.stack([confusion_stack(preds, s.masks, n_classes) for preds, s in frames])
     victim_conf = conf[np.arange(len(frames)), [s.victim for _, s in frames]]
     degraded = [s.degraded[s.victim] for _, s in frames]
@@ -139,8 +143,8 @@ def selection_accuracy(states_per_frame, dataset):
     victim should request exactly when degraded, and the platform
     holding its clean view is the correct supporter.
     """
-    if not dataset:
-        raise InputError("empty dataset")
+    if not dataset or len(states_per_frame) != len(dataset):
+        raise InputError(f"{len(states_per_frame)} state lists vs {len(dataset)} frames (need equal, nonzero counts)")
     detect_hits = 0
     select_hits = 0
     n_degraded = 0

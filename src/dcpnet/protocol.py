@@ -28,7 +28,8 @@ from .network import encode_view, predict_segmentation
 from .scenes import SceneSample
 
 WIRE_MAGIC = b"DCPM"
-HEADER_BYTES = 17  # 4 magic + 1 kind + 2 src + 2 dst + 4 frame + 4 payload length
+_HEADER = struct.Struct("<4sBHHII")  # magic, kind, src, dst, frame, payload length
+HEADER_BYTES = _HEADER.size
 
 KIND_REQUEST = 1
 KIND_RELEVANCE = 2
@@ -50,16 +51,15 @@ def serialize_message(msg: ProtocolMessage) -> bytes:
         raise ProtocolError(f"unknown message kind {msg.kind}")
     if not (0 <= msg.src < 2**16 and 0 <= msg.dst < 2**16 and 0 <= msg.frame < 2**32):
         raise ProtocolError(f"src {msg.src}, dst {msg.dst} or frame {msg.frame} overflows its u16/u16/u32 field")
-    header = WIRE_MAGIC + struct.pack("<BHHII", msg.kind, msg.src, msg.dst, msg.frame, len(msg.payload))
-    return header + msg.payload
+    return _HEADER.pack(WIRE_MAGIC, msg.kind, msg.src, msg.dst, msg.frame, len(msg.payload)) + msg.payload
 
 
 def parse_message(buf: bytes) -> ProtocolMessage:
     if len(buf) < HEADER_BYTES:
         raise FormatError(f"message truncated at {len(buf)} bytes")
-    if buf[:4] != WIRE_MAGIC:
-        raise FormatError(f"bad message magic {buf[:4]!r}")
-    kind, src, dst, frame, plen = struct.unpack_from("<BHHII", buf, 4)
+    magic, kind, src, dst, frame, plen = _HEADER.unpack_from(buf)
+    if magic != WIRE_MAGIC:
+        raise FormatError(f"bad message magic {magic!r}")
     if kind not in KIND_NAMES:
         raise FormatError(f"unknown message kind {kind}")
     if len(buf) != HEADER_BYTES + plen:

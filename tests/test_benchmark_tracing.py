@@ -95,3 +95,11 @@ def test_benchmark_workloads_run_a_cycle_and_match_expected_counts(tmp_path, mon
         for key, want in expected[name].items():
             tolerance = run.TOLERANCE.get(key, 0)
             assert values[key] == pytest.approx(want, rel=0, abs=tolerance), (name, key)
+
+
+def test_the_benchmark_frames_messages_with_the_package_header(monkeypatch):
+    """The infer-collab check charges each message `WIRE_HEADER_BYTES` plus its payload."""
+    workloads = _load_bench_module(monkeypatch, "workloads")
+    assert pr.HEADER_BYTES == workloads.WIRE_HEADER_BYTES
+    message = pr.ProtocolMessage(pr.KIND_GRANT, 1, 2, 3, b"")
+    assert len(pr.serialize_message(message)) == workloads.WIRE_HEADER_BYTES

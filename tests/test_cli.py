@@ -263,7 +263,7 @@ def test_malformed_metrics_is_a_typed_error(tmp_path, capsys, text):
 
 
 VALID_RECORD = {"method": "m", "miou_noisy": 0.5, "miou_normal": 1, "miou_avg": 0.75,
-                "per_platform_miou": [0.5, 1], "comm_cost_mbpf": 0, "ce": None,
+                "per_platform_miou": [0.5, 1], "comm_cost_mbpf": 0, "comm_total_mbpf": 0.25, "ce": None,
                 "detect_acc": None, "select_acc": 0.5}
 
 
@@ -271,6 +271,7 @@ VALID_RECORD = {"method": "m", "miou_noisy": 0.5, "miou_normal": 1, "miou_avg": 
     pytest.param("miou_noisy", "x", id="string-float"),
     pytest.param("miou_avg", True, id="bool-float"),
     pytest.param("comm_cost_mbpf", None, id="null-float"),
+    pytest.param("comm_total_mbpf", "0.1", id="string-total"),
     pytest.param("ce", "1.0", id="string-optional"),
     pytest.param("per_platform_miou", 0.5, id="number-list"),
     pytest.param("per_platform_miou", [0.5, "x"], id="string-in-list"),
@@ -521,8 +522,7 @@ def test_omitted_options_match_the_library_defaults_byte_for_byte(tmp_path, caps
                 "--min-separation", spec.min_view_separation],
         "train": ["--epochs", tcfg.epochs, "--lr", tcfg.lr, "--batch-size", tcfg.batch_size, "--seed", tcfg.seed,
                   "--supervision", tcfg.supervision, "--request-dim", mcfg.request_dim],
-        "eval": ["--comm-accounting", inspect.signature(harness.evaluate).parameters["comm_accounting"].default,
-                 "--request-threshold", mcfg.request_threshold],
+        "eval": ["--request-threshold", mcfg.request_threshold],
     }
     trees = []
     for name, spell in (("omitted", False), ("spelled", True)):
@@ -569,4 +569,4 @@ def test_no_option_restates_a_library_default():
                 assert action.default is argparse.SUPPRESS, f"{name} --{action.dest} restates a library default"
     assert {("gen", "min_view_separation"), ("gen", "n_platforms"), ("gen", "noise_strength"),
             ("train", "request_dim"), ("eval", "seed"), ("sweep", "grid"), ("experiment", "seed")} <= checked
-    assert len(checked) == 20
+    assert len(checked) == 19

@@ -1,13 +1,15 @@
 """DCPT tensor files, checkpoints, report emission, netpbm dumps."""
 
 import json
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dcpnet import harness, reports, scenes, tensorio
+from dcpnet import metrics as mt
+from dcpnet.autodiff import Tensor
 from dcpnet.config import WorldSpec
 from dcpnet.errors import FormatError
 from dcpnet.metrics import MetricsRecord
@@ -113,7 +115,7 @@ GOLDEN_SWEEP_ROWS = [
 GOLDEN_RECORD = MetricsRecord(
     "dcp-net", 0.5085535358553451, 0.6897490317386739, 0.652775252178274,
     [0.652775252178274, 0.6963328435315329, 0.7321066008405074, 0.7110671663798241],
-    0.00390625, None, 1.0, 0.5,
+    0.00390625, 0.004151821136474609, None, 1.0, 0.5,
 )
 
 
@@ -125,6 +127,28 @@ def test_sweep_and_record_on_the_benchmark_checkpoint_keep_their_recorded_values
     assert [astuple(r) for r in rows] == GOLDEN_SWEEP_ROWS
     record, _ = harness.evaluate_dcp(frames, params, cfg)
     assert record == GOLDEN_RECORD
+    assert {p.name: p.read_bytes() for p in BENCH_CHECKPOINT.iterdir()} == before
+
+
+def test_the_sweep_referent_is_the_local_decode_even_when_every_confidence_underflows():
+    """With q = -1e6 k every q . k lies below sigmoid's underflow at about -745: every
+    confidence is exactly 0.0, so every platform requests at every threshold, 0.0 included."""
+    before = {p.name: p.read_bytes() for p in BENCH_CHECKPOINT.iterdir()}
+    frames = scenes.make_dataset(WorldSpec(), "homo-cis", 8, seed=VAL_SEED, **NOISE)
+    cfg, params = harness.load_model("dcp-net", frames, BENCH_CHECKPOINT)
+    for head in ("w", "b"):
+        params[f"smim.q.{head}"] = Tensor(-1e6 * params[f"smim.k.{head}"].data)
+    _, results = harness.evaluate_dcp(frames, params, replace(cfg, request_threshold=0.0))
+    assert {s.confidence for r in results for s in r.states} == {0.0}
+
+    local, _ = harness.evaluate("no-interaction", frames, params, cfg)
+    assert local.miou_avg == GOLDEN_SWEEP_ROWS[0][2]  # the SMIM heads never reach the local decode
+    rows = harness.sweep_request_threshold(frames, params, cfg)
+    assert [r.knob for r in rows] == [row[1] for row in GOLDEN_SWEEP_ROWS]
+    for row in rows:
+        assert row.comm_mbpf > 0 and row.avg_miou < local.miou_avg
+        assert row.ce == mt.collaboration_efficiency(row.avg_miou, local.miou_avg, row.comm_mbpf)
+        assert row.ce < 0
     assert {p.name: p.read_bytes() for p in BENCH_CHECKPOINT.iterdir()} == before
 
 
@@ -160,7 +184,7 @@ def test_malformed_netpbm_is_a_format_error(tmp_path, buf):
 
 
 def _record():
-    return MetricsRecord("dcp-net", 0.55, 0.68, 0.62, [0.6, 0.62], 0.005, 123.4, 0.99, 0.7)
+    return MetricsRecord("dcp-net", 0.55, 0.68, 0.62, [0.6, 0.62], 0.005, 0.0054, 123.4, 0.99, 0.7)
 
 
 def test_emit_report_writes_all_artifacts(tmp_path):

@@ -100,6 +100,30 @@ def test_selection_accuracy_needs_cis_data():
         mt.selection_accuracy([], [])
 
 
+def test_parallel_lists_of_unequal_length_are_an_error_not_a_truncation():
+    zeros, ones = np.zeros((2, 2), dtype=int), np.ones((2, 2), dtype=int)
+    for scorer in (mt.miou, mt.confusion_matrix, mt.confusion_stack):
+        with pytest.raises(InputError, match="2 predictions vs 1 targets"):
+            scorer([zeros, ones], [zeros], 2)
+        with pytest.raises(InputError, match="1 predictions vs 2 targets"):
+            scorer([zeros], [zeros, ones], 2)
+    with pytest.raises(InputError, match="0 predictions vs 0 targets"):
+        mt.confusion_stack([], [], 2)
+
+    data = [scenes.make_sample(small_spec(), "homo-cis", f, 0, n_platforms=2) for f in range(8)]
+    preds = [s.masks for s in data]
+    for scorer in (mt.score_frames, mt.split_miou):
+        with pytest.raises(InputError, match="7 prediction lists vs 8 frames"):
+            scorer(preds[:7], data, 3)
+        with pytest.raises(InputError, match="8 prediction lists vs 7 frames"):
+            scorer(preds, data[:7], 3)
+    states = [[smim.SmimState(), smim.SmimState()] for _ in data]
+    with pytest.raises(InputError, match="7 state lists vs 8 frames"):
+        mt.selection_accuracy(states[:7], data)
+    with pytest.raises(InputError, match="8 state lists vs 7 frames"):
+        mt.selection_accuracy(states, data[:7])
+
+
 # -- scoring from one confusion tensor against the per-image composition ----
 # The reference below is the per-image scoring that `evaluate` used before it
 # summed everything from one frames x platforms x K x K confusion tensor.

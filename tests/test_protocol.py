@@ -151,11 +151,11 @@ def test_frame_ledgers_hold_their_own_frame_and_sum_to_mbpf():
     results = [pr.run_frame(s, params, cfg) for s in samples]
     for res, sample in zip(results, samples):
         assert res.ledger.entries and {e[0] for e in res.ledger.entries} == {sample.frame}
-    for accounting, total in (("feature_only", "feature_payload_bytes"), ("total", "total_wire_bytes")):
-        record, _ = harness.evaluate("dcp-net", samples, params, cfg, comm_accounting=accounting)
+    record, _ = harness.evaluate("dcp-net", samples, params, cfg)
+    for field, total in (("comm_cost_mbpf", "feature_payload_bytes"), ("comm_total_mbpf", "total_wire_bytes")):
         summed = sum(getattr(r.ledger, total) for r in results)
         assert summed > 0
-        assert record.comm_cost_mbpf == summed / len(samples) / 2**20
+        assert getattr(record, field) == summed / len(samples) / 2**20
     assert [f.name for f in dataclasses.fields(pr.CommLedger)] == ["entries"]
 
 
