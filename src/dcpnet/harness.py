@@ -4,7 +4,6 @@ budgeted experiments, ablation sweeps."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -19,7 +18,7 @@ from .network import init_decoder_params, init_encoder_params
 from .rff import init_rff_params
 from .scenes import SceneSample
 from .smim import init_smim_params
-from .tensorio import load_tensor_dict, save_tensor_dict
+from .tensorio import load_tensor_dict, save_tensor_dict, write_file
 from .training import TrainConfig, train
 
 
@@ -203,4 +202,4 @@ def sweep_rows_to_csv(rows: list[SweepRow], path) -> None:
     for row in rows:
         ce = "" if row.ce is None else f"{row.ce:.6f}"
         lines.append(f"{row.request_dim},{row.knob},{row.avg_miou:.6f},{row.comm_mbpf:.6f},{ce}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_file(path, ("\n".join(lines) + "\n").encode("utf-8"))

@@ -11,6 +11,7 @@ import numpy as np
 
 from .errors import FormatError, InputError
 from .metrics import MetricsRecord
+from .tensorio import write_file
 
 TABLE_HEADER = "Type,Method,Noisy,Normal,Avg.,Comm. Cost,CE"
 
@@ -27,7 +28,7 @@ def write_pgm(path, image: np.ndarray) -> None:
     """Binary (P5) grayscale image from float values in [0, 1]."""
     gray = (np.clip(np.asarray(image), 0.0, 1.0) * 255).round().astype(np.uint8)
     h, w = gray.shape
-    Path(path).write_bytes(f"P5\n{w} {h}\n255\n".encode() + gray.tobytes())
+    write_file(path, f"P5\n{w} {h}\n255\n".encode() + gray.tobytes())
 
 
 def read_pgm(path) -> np.ndarray:
@@ -39,7 +40,7 @@ def write_ppm(path, image: np.ndarray) -> None:
     """Binary (P6) color image from float values in [0, 1]."""
     rgb = (np.clip(np.asarray(image), 0.0, 1.0) * 255).round().astype(np.uint8)
     h, w, _ = rgb.shape
-    Path(path).write_bytes(f"P6\n{w} {h}\n255\n".encode() + rgb.tobytes())
+    write_file(path, f"P6\n{w} {h}\n255\n".encode() + rgb.tobytes())
 
 
 def read_ppm(path) -> np.ndarray:
@@ -93,9 +94,9 @@ def emit_report(records: list[MetricsRecord], dirpath, prediction_dumps=None) ->
         d.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise InputError(f"cannot create report dir {d}: {exc}") from exc
-    (d / "metrics.json").write_text(json.dumps([r.as_dict() for r in records], indent=2) + "\n")
+    write_file(d / "metrics.json", (json.dumps([r.as_dict() for r in records], indent=2) + "\n").encode("utf-8"))
     lines = [TABLE_HEADER] + [table_row(r) for r in records]
-    (d / "tables.csv").write_text("\n".join(lines) + "\n")
+    write_file(d / "tables.csv", ("\n".join(lines) + "\n").encode("utf-8"))
     for stem, arr in (prediction_dumps or {}).items():
         arr = np.asarray(arr)
         if arr.ndim == 2:

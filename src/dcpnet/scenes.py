@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import NoiseConfig, WorldSpec
 from .errors import ConfigError, FormatError, InputError
-from .tensorio import load_tensor, read_manifest, save_tensor
+from .tensorio import load_tensor, read_manifest, save_tensor, write_file
 
 MODES = ("homo-cis", "homo-pis", "hetero-pis")
 _KINDS = ("rect", "ellipse", "strip")  # shape kinds of the world painter
@@ -266,6 +266,13 @@ def save_dataset(samples: list[SceneSample], dirpath) -> None:
         raise InputError(f"samples disagree on the class count: {classes}")
     d = Path(dirpath)
     d.mkdir(parents=True, exist_ok=True)
+    write_file(d / "manifest.txt", b"")  # a save cut short must not load
+    # a platform file beyond a rewritten frame's platform count would make load_dataset reject it
+    platforms = {s.frame: s.n_platforms for s in samples}
+    for name in os.listdir(d):
+        m = _SAMPLE_FILE.fullmatch(name)
+        if m and int(m[2]) >= platforms.get(int(m[1]), float("inf")):
+            os.remove(d / name)
     prefix = os.path.join(d, "f")
     lines = [f"count {len(samples)} classes {classes[0]}"]
     for s in samples:
@@ -275,7 +282,7 @@ def save_dataset(samples: list[SceneSample], dirpath) -> None:
         for i in range(s.n_platforms):
             save_tensor(f"{prefix}{s.frame:05d}_view{i}.dcpt", s.views[i])
             save_tensor(f"{prefix}{s.frame:05d}_mask{i}.dcpt", s.masks[i])
-    (d / "manifest.txt").write_text("\n".join(lines) + "\n")
+    write_file(d / "manifest.txt", ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def _parse_sample_line(line: str):

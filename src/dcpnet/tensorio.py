@@ -4,20 +4,46 @@ Tensor format (magic "DCPT"): u32 rank, u32 per dimension, then the
 row-major little-endian float32 payload.  Values are float64 in memory;
 arrays that round-trip bitwise must therefore hold float32-representable
 values (everything the generator and the wire produce does).
+
+Every file the package writes goes through `write_file`, which rewrites an
+existing file in place, not truncated on open (README.md, Formats, says why).
+A kill mid-rewrite can leave new bytes then old ones, so the tensor
+directories empty their manifest first and write it last.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import stat
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, InputError
 
 MAGIC = b"DCPT"
 MANIFEST = "manifest.txt"  # key -> file list of a tensor directory
+
+
+def write_file(path, data: bytes) -> None:
+    """Make `data` the whole content of `path`, written over the old bytes in place."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view) :]
+        st = os.fstat(fd)
+        if stat.S_ISREG(st.st_mode) and st.st_size > len(data):  # a pipe or /dev/null cannot be cut
+            os.ftruncate(fd, len(data))
+    except BaseException:
+        with contextlib.suppress(OSError):  # fails on a pipe; the error that got here is the one raised
+            os.ftruncate(fd, 0)
+        raise
+    finally:
+        os.close(fd)
 
 
 def tensor_to_bytes(arr: np.ndarray) -> bytes:
@@ -49,8 +75,15 @@ def tensor_from_bytes(buf: bytes) -> np.ndarray:
 
 
 def save_tensor(path, arr: np.ndarray) -> None:
-    with open(path, "wb") as f:
-        f.write(tensor_to_bytes(arr))
+    """A DCPT file of `arr`; what `load_tensor` would reject is an InputError before the file is opened."""
+    arr = np.asarray(arr)
+    if arr.ndim > 8 or max(arr.shape, default=0) >= 2**32:
+        raise InputError(f"tensor shape {arr.shape} exceeds the format's rank 8 or u32 dimensions")
+    with np.errstate(over="ignore"):
+        f32 = np.ascontiguousarray(arr, dtype="<f4")
+    if not np.isfinite(f32).all():
+        raise InputError("tensor holds values that are not finite as float32")
+    write_file(path, tensor_to_bytes(f32))
 
 
 def load_tensor(path) -> np.ndarray:
@@ -63,12 +96,13 @@ def save_tensor_dict(dirpath, tensors: dict[str, np.ndarray]) -> None:
     one DCPT file per tensor."""
     d = Path(dirpath)
     d.mkdir(parents=True, exist_ok=True)
+    write_file(d / MANIFEST, b"")  # a save cut short must not load
     lines = []
     for key in sorted(tensors):
         fname = key.replace("/", "_") + ".dcpt"
         save_tensor(d / fname, tensors[key])
         lines.append(f"{key} {fname}")
-    (d / MANIFEST).write_text("\n".join(lines) + "\n")
+    write_file(d / MANIFEST, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def read_manifest(path) -> list[str]:
@@ -77,9 +111,12 @@ def read_manifest(path) -> list[str]:
     if not path.is_file():
         raise FormatError(f"missing manifest {path}")
     try:
-        return path.read_bytes().decode("utf-8").splitlines()
+        text = path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"manifest {path} is not UTF-8 text") from exc
+    if not text:
+        raise FormatError(f"manifest {path} is empty: the save that wrote it was cut short")
+    return text.splitlines()
 
 
 def load_tensor_dict(dirpath) -> dict[str, np.ndarray]:

@@ -21,6 +21,7 @@ from .config import ModelConfig
 from .errors import ConfigError, ContractError, InputError
 from .network import decode_segmentation, encode_view
 from .scenes import SceneSample
+from .tensorio import write_file
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # moment decays, denominator floor
 
@@ -166,11 +167,9 @@ class LossCurve:
         self.val_mious.append(val_miou)
 
     def to_csv(self, path) -> None:
-        from pathlib import Path
-
         lines = ["step,loss,val_miou"]
         lines += [f"{s},{l:.6f},{v:.6f}" for s, l, v in zip(self.steps, self.losses, self.val_mious)]
-        Path(path).write_text("\n".join(lines) + "\n")
+        write_file(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def train(
