@@ -39,16 +39,6 @@ def confusion_stack(predictions, targets, n_classes: int) -> np.ndarray:
     return np.bincount(idx, minlength=len(preds) * n_classes**2).reshape(-1, n_classes, n_classes)
 
 
-def confusion_matrix(predictions, targets, n_classes: int) -> np.ndarray:
-    """Pooled K x K confusion matrix (rows: target class, cols: predicted)."""
-    if len(predictions) != len(targets):
-        raise InputError(f"{len(predictions)} predictions vs {len(targets)} targets")
-    total = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for pred, tgt in zip(predictions, targets):
-        total += confusion_stack([pred], [tgt], n_classes)[0]
-    return total
-
-
 def mean_ious(conf: np.ndarray) -> list[float]:
     """`miou` of each K x K matrix of an n x K x K stack."""
     tp = np.diagonal(conf, axis1=1, axis2=2).astype(np.float64)
@@ -72,7 +62,7 @@ def miou(predictions, targets, n_classes: int) -> float:
     Classes absent from both predictions and targets are excluded from
     the mean.
     """
-    return mean_ious(confusion_matrix(predictions, targets, n_classes)[None])[0]
+    return mean_ious(confusion_stack(predictions, targets, n_classes).sum(axis=0, keepdims=True))[0]
 
 
 def collaboration_efficiency(miou_collab: float, miou_baseline: float, comm_mbpf: float):

@@ -9,6 +9,12 @@ u16 src, u16 dst, u32 frame, u32 payload length, then the payload); MBpf
 is computed from the ledger.  DCP-Net and every baseline run through the
 same runner; they differ only in who pulls whose features and how the
 received grants are fused.
+
+DCP-Net's two exchange rounds are `request_match` (phase 3) and
+`grant_fuse` (phase 4), each sending its messages over a `wire`.
+Inference passes one that goes through `transmit`, for the requesters
+and their supporters only.  Centralized training runs the same rounds
+over the `lossless` wire, with every candidate, soft scores and no gate.
 """
 
 from __future__ import annotations
@@ -122,6 +128,35 @@ def mbpf(ledger: CommLedger, frames: int, mode: str = "feature_only") -> float:
     return total / frames / 2**20
 
 
+def lossless(kind: int, src: int, dst: int, tensor: Tensor) -> Tensor:
+    """The wire of centralized training: every message arrives as the tensor sent, graph intact."""
+    return tensor
+
+
+def request_match(i: int, feats: list[Tensor], keys: list[Tensor], params: dict[str, Tensor],
+                  wire) -> dict[int, Tensor]:
+    """Phase 3 for platform i: its request to every other platform, their relevance
+    replies, and the match scores over them.  `wire(kind, src, dst, tensor)` carries
+    each message and returns the receiver's copy."""
+    r = smim.encode_request(feats[i], params)
+    replies: dict[int, Tensor] = {}
+    for j in range(len(feats)):
+        if j != i:
+            # candidate j evaluates the request as it arrived
+            rel = smim.candidate_relevance(wire(KIND_REQUEST, i, j, r), keys[j], params["smim.w_alpha"])
+            replies[j] = wire(KIND_RELEVANCE, j, i, rel)
+    return smim.match_scores(replies)
+
+
+def grant_fuse(i: int, feats: list[Tensor], params: dict[str, Tensor], confidence: Tensor,
+               scores: dict[int, Tensor], wire) -> Tensor:
+    """Phase 4 for platform i: a grant from each scored platform, in id order, aligned
+    to the local features and mixed in by `confidence` and `scores`, which are not
+    renormalized.  No scores: the local features, unscaled."""
+    related = {j: rff.compute_related(feats[i], wire(KIND_GRANT, j, i, feats[j]), params) for j in sorted(scores)}
+    return rff.fuse(feats[i], related, confidence, scores)
+
+
 @dataclass
 class FrameResult:
     predictions: list[np.ndarray]       # per-platform H x W class masks
@@ -145,13 +180,22 @@ def run_frame(
     n = sample.n_platforms
     ledger = CommLedger()
 
+    def wire(kind: int, src: int, dst: int, tensor: Tensor) -> Tensor:
+        return Tensor(transmit(ledger, kind, src, dst, sample.frame, tensor.data))
+
     # phase 1: local encoding
     feats = [encode_view(Tensor(sample.views[i]), params) for i in range(n)]
 
     if method != "dcp-net":
         # a baseline pulls its regime's partners onto the victim alone
         states = [smim.SmimState(confidence=1.0) for _ in feats]
-        pulls = {sample.victim: bl.baseline_partners(method, sample, sample.victim, seed)}
+        partners = bl.baseline_partners(method, sample, sample.victim, seed)
+
+        def fuse(i: int) -> Tensor:
+            if i != sample.victim:
+                return feats[i]
+            pulled = [wire(KIND_GRANT, j, i, f) if j in partners else f for j, f in enumerate(feats)]
+            return bl.fuse_baseline(method, pulled, i, partners, params)
     else:
         # phase 2: self-information decisions
         states, keys = [], []
@@ -161,40 +205,17 @@ def run_frame(
             states.append(smim.SmimState(confidence=p, requested=smim.decide_request(p, cfg)))
             keys.append(k)
 
-        # phase 3: request broadcast and relevance replies
-        for i in range(n):
+        # phase 3: every requester's request broadcast and relevance replies, before any grant
+        for i, st in enumerate(states):
+            if st.requested:
+                st.scores = {j: s.item() for j, s in request_match(i, feats, keys, params, wire).items()}
+                st.supporters = smim.select_supporters(st.scores, n)
+
+        def fuse(i: int) -> Tensor:
             st = states[i]
-            if not st.requested:
-                continue
-            r = smim.encode_request(feats[i], params)
-            replies: dict[int, Tensor] = {}
-            for j in range(n):
-                if j == i:
-                    continue
-                # candidate j evaluates the (float32 wire copy of the) request
-                r_wire = Tensor(transmit(ledger, KIND_REQUEST, i, j, sample.frame, r.data))
-                rel = smim.candidate_relevance(r_wire, keys[j], params["smim.w_alpha"])
-                replies[j] = Tensor(transmit(ledger, KIND_RELEVANCE, j, i, sample.frame, rel.data))
-            scores = smim.match_scores(replies)
-            st.scores = {j: s.item() for j, s in scores.items()}
-            st.supporters = smim.select_supporters(st.scores, n)
-        pulls = {i: sorted(st.supporters) for i, st in enumerate(states) if st.requested}
+            scores = {j: Tensor(st.scores[j]) for j in st.supporters}
+            return grant_fuse(i, feats, params, Tensor(st.confidence), scores, wire)
 
     # phase 4: feature grants, fusion, decoding
-    predictions = []
-    for i in range(n):
-        received: dict[int, Tensor] = {}
-        for j in pulls.get(i, ()):
-            received[j] = Tensor(transmit(ledger, KIND_GRANT, j, i, sample.frame, feats[j].data))
-        if method == "dcp-net":
-            related = {j: rff.compute_related(feats[i], f, params) for j, f in received.items()}
-            # dropped candidates are zeroed without renormalizing survivors
-            scores = {j: Tensor(states[i].scores[j]) for j in received}
-            fused = rff.fuse(feats[i], related, Tensor(states[i].confidence), scores)
-        elif i == sample.victim:
-            pulled = [received.get(j, f) for j, f in enumerate(feats)]
-            fused = bl.fuse_baseline(method, pulled, i, list(received), params)
-        else:
-            fused = feats[i]
-        predictions.append(predict_segmentation(fused, params))
+    predictions = [predict_segmentation(fuse(i), params) for i in range(n)]
     return FrameResult(predictions, states, ledger)

@@ -1,10 +1,12 @@
 """Centralized training: one forward for every method, Adam, seeded loop.
 
-During training no thresholds are applied: every supervised DCP-Net
-platform fuses related features from all candidates, weighted by its
-confidence and the soft match scores, and the only supervision is the
-downstream segmentation loss.  Inference-time gating then falls out of
-the learned confidence and match scores.
+DCP-Net trains through the protocol's own two rounds, `request_match`
+and `grant_fuse`, over the `lossless` wire, which keeps the graph
+intact.  No gate is applied: every supervised platform requests, every
+candidate grants, and the related features are weighted by the
+platform's confidence and the soft match scores.  The only supervision
+is the downstream segmentation loss; inference-time gating then falls
+out of the learned confidence and match scores.
 """
 
 from __future__ import annotations
@@ -15,11 +17,12 @@ import numpy as np
 
 from . import autodiff as ad
 from . import baselines as bl
-from . import rff, smim
+from . import smim
 from .autodiff import Tensor
 from .config import ModelConfig
 from .errors import ConfigError, ContractError, InputError
 from .network import decode_segmentation, encode_view
+from .protocol import grant_fuse, lossless, request_match
 from .scenes import SceneSample
 from .tensorio import write_file
 
@@ -96,28 +99,6 @@ def zero_grad(params: dict[str, Tensor]) -> None:
         p.grad = None
 
 
-def soft_fusion(feats: list[Tensor], params: dict[str, Tensor]):
-    """DCP-Net's training-time fusion: every candidate, soft match scores.
-
-    Every view's key is read by every fused platform; a query only by its own.
-    """
-    keys = [smim.encode_key(f, params) for f in feats]
-
-    def fuse(i: int) -> Tensor:
-        p = smim.self_confidence(smim.encode_query(feats[i], params), keys[i])
-        r = smim.encode_request(feats[i], params)
-        relevances = {
-            j: smim.candidate_relevance(r, keys[j], params["smim.w_alpha"])
-            for j in range(len(feats))
-            if j != i
-        }
-        scores = smim.match_scores(relevances)
-        related = {j: rff.compute_related(feats[i], feats[j], params) for j in scores}
-        return rff.fuse(feats[i], related, p, scores)
-
-    return fuse
-
-
 def centralized_forward(
     sample: SceneSample,
     params: dict[str, Tensor],
@@ -128,9 +109,10 @@ def centralized_forward(
 ) -> Tensor:
     """Summed cross-entropy over the supervised platforms of one sample under `method`.
 
-    Every view is encoded first.  DCP-Net then fuses every candidate with
-    soft match scores; a baseline fuses its regime's partners, and random
-    selection draws them from (`seed`, frame, platform) as inference does.
+    Every view is encoded first.  DCP-Net then runs the protocol's rounds
+    over the `lossless` wire and fuses every candidate with soft match
+    scores; a baseline fuses its regime's partners, and random selection
+    draws them from (`seed`, frame, platform) as inference does.
     """
     n = sample.n_platforms
     if supervision == "victim_only":
@@ -142,7 +124,13 @@ def centralized_forward(
 
     feats = [encode_view(Tensor(sample.views[i], requires_grad=False), params) for i in range(n)]
     if method == "dcp-net":
-        fuse = soft_fusion(feats, params)
+        # every view's key is read by every fused platform; a query only by its own
+        keys = [smim.encode_key(f, params) for f in feats]
+
+        def fuse(i: int) -> Tensor:
+            p = smim.self_confidence(smim.encode_query(feats[i], params), keys[i])
+            scores = request_match(i, feats, keys, params, lossless)
+            return grant_fuse(i, feats, params, p, scores, lossless)
     else:
         def fuse(i: int) -> Tensor:
             return bl.fuse_baseline(method, feats, i, bl.baseline_partners(method, sample, i, seed), params)

@@ -18,7 +18,7 @@ from conftest import small_spec
 def test_confusion_matrix_hand_example():
     pred = np.array([[0, 1], [1, 1]])
     tgt = np.array([[0, 1], [0, 1]])
-    conf = mt.confusion_matrix([pred], [tgt], 2)
+    conf = mt.confusion_stack([pred], [tgt], 2)[0]
     assert conf.tolist() == [[1, 1], [0, 2]]
 
 
@@ -102,7 +102,7 @@ def test_selection_accuracy_needs_cis_data():
 
 def test_parallel_lists_of_unequal_length_are_an_error_not_a_truncation():
     zeros, ones = np.zeros((2, 2), dtype=int), np.ones((2, 2), dtype=int)
-    for scorer in (mt.miou, mt.confusion_matrix, mt.confusion_stack):
+    for scorer in (mt.miou, mt.confusion_stack):
         with pytest.raises(InputError, match="2 predictions vs 1 targets"):
             scorer([zeros, ones], [zeros], 2)
         with pytest.raises(InputError, match="1 predictions vs 2 targets"):

@@ -1,5 +1,7 @@
 """Encoder/decoder shapes and the shared training loop."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from dcpnet.network import (
 )
 from dcpnet.training import Adam, TrainConfig
 
-from conftest import small_cfg, small_spec
+from conftest import NOISE, small_cfg, small_spec
 
 
 def test_encoder_decoder_shapes():
@@ -104,6 +106,25 @@ def test_training_reduces_loss_and_is_deterministic():
     assert curve_a.losses == curve_b.losses
     for name in params_a:
         assert np.array_equal(params_a[name].data, params_b[name].data)
+
+
+# SHA-256 over the loss bits and every parameter's bytes of each run below,
+# recorded before DCP-Net's training and inference shared one exchange
+TRAINING_GOLDEN = "695750f6b8ab1371ce204921179f72c14d5e5a4816605d9e32b0903af9cf98f6"
+
+
+def test_training_keeps_its_bits_for_every_method():
+    cfg = small_cfg(n_platforms=3)
+    data = scenes.make_dataset(small_spec(), "homo-cis", 4, seed=3, n_platforms=3, **NOISE)
+    h = hashlib.sha256()
+    runs = [(m, "victim_only") for m in ("dcp-net",) + bl.BASELINES] + [("dcp-net", "all_platforms")]
+    for method, supervision in runs:
+        params = harness.init_params(method, cfg, seed=5)
+        curve = training.train(data, params, cfg, TrainConfig(epochs=2, seed=5, supervision=supervision), method)
+        h.update(np.array(curve.losses).tobytes())
+        for key in sorted(params):
+            h.update(key.encode() + params[key].data.tobytes())
+    assert h.hexdigest() == TRAINING_GOLDEN
 
 
 def test_training_rejects_empty_dataset():

@@ -1,8 +1,10 @@
 """Wire format, ledger accounting, and frame execution."""
 
+import ast
 import dataclasses
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,3 +216,56 @@ def test_predict_segmentation_is_the_argmax_of_the_decoded_logits():
         want = np.argmax(decode_segmentation(f, p).data, axis=2)
         assert got.dtype == want.dtype and np.array_equal(got, want)
     assert np.all(got == 1)   # all-tied classes 1-3: the first maximum wins
+
+
+# DCP-Net's exchange steps, by module; only the two protocol rounds may run them
+EXCHANGE = {"smim": {"encode_request", "candidate_relevance", "match_scores"}, "rff": {"compute_related", "fuse"}}
+ROUNDS = {"request_match", "grant_fuse"}
+
+
+def _exchange_uses(tree: ast.Module, module: str):
+    """(line, what) of every use of an exchange step in `module` outside protocol's two rounds:
+    `smim.x` or `rff.x`, a `from`-import of one, or a bare call of one inside its own module."""
+    rounds = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name in ROUNDS] if module == "protocol" else []
+    exempt = {id(n) for f in rounds for n in ast.walk(f)}
+    own = EXCHANGE.get(module, set())
+    for node in ast.walk(tree):
+        if id(node) in exempt:
+            continue
+        if isinstance(node, ast.Attribute) and node.attr in EXCHANGE.get(getattr(node.value, "id", None), ()):
+            yield node.lineno, f"{node.value.id}.{node.attr}"
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] in EXCHANGE:
+            for alias in node.names:
+                if alias.name in EXCHANGE[node.module.split(".")[-1]]:
+                    yield node.lineno, f"import {alias.name}"
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in own:
+            yield node.lineno, node.func.id
+
+
+@pytest.mark.parametrize("src, module, hits", [
+    ("smim.encode_request(f, p)", "training", 1),
+    ("smim.encode_query(f, p)", "training", 0),
+    ("related = rff.compute_related", "harness", 1),
+    ("from .rff import fuse", "training", 1),
+    ("from dcpnet.smim import encode_key, match_scores", "harness", 1),
+    ("def fuse(i):\n    return fuse(i)", "training", 0),
+    ("def request_match(i):\n    smim.encode_request(f, p)", "protocol", 0),
+    ("def request_match(i):\n    smim.encode_request(f, p)", "training", 1),
+    ("def run_frame():\n    rff.fuse(f, {}, p, {})", "protocol", 1),
+    ("class C:\n    def grant_fuse(self):\n        rff.fuse(f, {}, p, {})", "protocol", 1),
+    ("def fuse(a, b, c, d):\n    return a", "rff", 0),
+    ("def fuse(a, b, c, d):\n    return compute_related(a, b, c)", "rff", 1),
+])
+def test_the_exchange_use_finder(src, module, hits):
+    assert len(list(_exchange_uses(ast.parse(src), module))) == hits
+
+
+def test_training_and_inference_run_the_one_dcp_net_exchange():
+    src = Path(pr.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(src.glob("*.py"))}
+    found = [f"{name}.py:{line} {what}" for name, tree in trees.items() for line, what in _exchange_uses(tree, name)]
+    assert found == []
+    # the rounds themselves hold every step, so the guard is not vacuous
+    every = {what for _, what in _exchange_uses(trees["protocol"], "")}
+    assert every == {f"{m}.{f}" for m, names in EXCHANGE.items() for f in names}
+    assert not hasattr(training, "soft_fusion")

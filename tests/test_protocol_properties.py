@@ -4,10 +4,13 @@ The sweep scores every threshold against the same checkpoint's local
 decode.  That referent is exact when a platform that does not request
 predicts its local decode, when the threshold only decides who requests,
 and when the bytes a record reports are the bytes those decisions send.
-Each property is drawn over tiny random models: 2 to 4 platforms, 16 px
-views, 3 classes, every scene mode, random biases, and SMIM heads redrawn
-at scales from near-uniform confidences to saturated ones (a confidence
-of exactly 0.0 or 1.0 included).
+Two more pin what a prediction is made of: a requester's is the fuse of
+exactly its supporters' grants, and under a baseline only the victim
+pulls, from exactly its regime's partners.  Each property is drawn over
+tiny random models: 2 to 4 platforms, 16 px views, 3 classes, every
+scene mode, random biases, and SMIM heads redrawn at scales from
+near-uniform confidences to saturated ones (a confidence of exactly 0.0
+or 1.0 included).
 """
 
 from dataclasses import replace
@@ -16,10 +19,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcpnet import harness, scenes
+from dcpnet import baselines as bl
+from dcpnet import harness, rff, scenes
 from dcpnet import protocol as pr
-from dcpnet.autodiff import Tensor
-from dcpnet.network import decode_segmentation, encode_view
+from dcpnet.autodiff import Tensor, no_grad
+from dcpnet.network import decode_segmentation, encode_view, predict_segmentation
 
 from conftest import small_cfg, small_spec
 
@@ -118,3 +122,49 @@ def test_both_byte_totals_are_the_messages_the_decisions_send(model, data):
         wire_bytes += frame_wire
     assert record.comm_cost_mbpf == grant_bytes / len(samples) / 2**20
     assert record.comm_total_mbpf == wire_bytes / len(samples) / 2**20
+
+
+def _wire_copy(feat: Tensor) -> Tensor:
+    """The receiver's copy of a granted feature grid: rounded once to float32."""
+    return Tensor(feat.data.astype(np.float32).astype(np.float64))
+
+
+@PROPERTY
+@given(models())
+def test_a_requester_predicts_the_fuse_of_exactly_its_supporters(model):
+    cfg, params, samples = model
+    for sample in samples:
+        with no_grad():
+            feats = [encode_view(Tensor(view), params) for view in sample.views]
+        for t in _thresholds(sample, params, cfg):
+            res = pr.run_frame(sample, params, replace(cfg, request_threshold=t))
+            for i, state in enumerate(res.states):
+                if not state.requested:
+                    continue
+                assert set(state.scores) == set(range(cfg.n_platforms)) - {i}
+                supporters = sorted(state.supporters)
+                with no_grad():
+                    related = {j: rff.compute_related(feats[i], _wire_copy(feats[j]), params) for j in supporters}
+                    # the scores the requester received, not renormalized over the supporters
+                    scores = {j: Tensor(state.scores[j]) for j in supporters}
+                    fused = rff.fuse(feats[i], related, Tensor(state.confidence), scores)
+                assert np.array_equal(res.predictions[i], predict_segmentation(fused, params)), (t, i)
+
+
+@PROPERTY
+@given(models(), st.sampled_from(bl.BASELINES), st.integers(0, 2**16))
+def test_under_a_baseline_only_the_victim_pulls_its_partners(model, method, seed):
+    cfg, params, samples = model
+    params = {**params, **bl.init_head_params(method, cfg, np.random.default_rng(seed))}
+    for sample in samples:
+        res = pr.run_frame(sample, params, cfg, method, seed)
+        v = sample.victim
+        partners = bl.baseline_partners(method, sample, v, seed)
+        assert [e[:4] for e in res.ledger.entries] == [(sample.frame, j, v, pr.KIND_GRANT) for j in partners]
+        assert all(s.confidence == 1.0 and not s.requested and not s.supporters for s in res.states)
+        with no_grad():
+            feats = [encode_view(Tensor(view), params) for view in sample.views]
+            pulled = [_wire_copy(f) if j in partners else f for j, f in enumerate(feats)]
+            victim = bl.fuse_baseline(method, pulled, v, partners, params)
+        for i, pred in enumerate(res.predictions):
+            assert np.array_equal(pred, predict_segmentation(victim if i == v else feats[i], params)), i
