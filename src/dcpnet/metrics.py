@@ -9,20 +9,25 @@ import numpy as np
 from .errors import InputError
 
 
+def _paired(predictions, targets) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The predictions and targets as arrays, checked to pair up one to one in shape."""
+    preds = [np.asarray(p) for p in predictions]
+    tgts = [np.asarray(t) for t in targets]
+    if not preds or len(preds) != len(tgts):
+        raise InputError(f"{len(preds)} predictions vs {len(tgts)} targets (need equal, nonzero counts)")
+    for pred, tgt in zip(preds, tgts):
+        if pred.shape != tgt.shape:
+            raise InputError(f"prediction {pred.shape} vs target {tgt.shape}")
+    return preds, tgts
+
+
 def confusion_stack(predictions, targets, n_classes: int) -> np.ndarray:
     """One K x K confusion matrix per (prediction, target) pair, stacked: n x K x K.
 
     The whole list is range-checked once and counted by one bincount.
     """
-    preds = [np.asarray(p) for p in predictions]
-    tgts = [np.asarray(t) for t in targets]
-    if not preds or len(preds) != len(tgts):
-        raise InputError(f"{len(preds)} predictions vs {len(tgts)} targets (need equal, nonzero counts)")
-    sizes = []
-    for pred, tgt in zip(preds, tgts):
-        if pred.shape != tgt.shape:
-            raise InputError(f"prediction {pred.shape} vs target {tgt.shape}")
-        sizes.append(pred.size)
+    preds, tgts = _paired(predictions, targets)
+    sizes = [pred.size for pred in preds]
     ids = np.concatenate(
         [t.ravel() for t in tgts] + [p.ravel() for p in preds], dtype=np.intp, casting="same_kind"
     )
@@ -62,7 +67,9 @@ def miou(predictions, targets, n_classes: int) -> float:
     Classes absent from both predictions and targets are excluded from
     the mean.
     """
-    return mean_ious(confusion_stack(predictions, targets, n_classes).sum(axis=0, keepdims=True))[0]
+    preds, tgts = _paired(predictions, targets)
+    # summed one image's stack at a time, so the index arrays stay one image in size
+    return mean_ious(sum(confusion_stack([p], [t], n_classes) for p, t in zip(preds, tgts)))[0]
 
 
 def collaboration_efficiency(miou_collab: float, miou_baseline: float, comm_mbpf: float):

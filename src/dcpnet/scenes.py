@@ -34,6 +34,7 @@ _KINDS = ("rect", "ellipse", "strip")  # shape kinds of the world painter
 
 SHAPE_DENSITY = 1.0  # expected shapes per 32x32 world patch, roughly
 DEGRADE_PROB = 0.5   # chance that a sample's victim view is degraded
+_TRIES = 64          # uniform draws a partner crop gets to sit min_sep from the first
 
 # fixed palette: one anchor color per class, background first
 _PALETTE = np.array(
@@ -130,12 +131,20 @@ def crop_views(
 ):
     """N randomly placed crops; each view keeps its exact mask crop.
 
-    The first crop lands anywhere; later crops are rejection-sampled to
-    sit at least `min_sep` pixels (Chebyshev) from the first one.  Spread
-    placement keeps partner views from collapsing onto the first view, so
-    whole-view descriptors of different platforms stay distinguishable.
-    When the first crop lands where the constraint cannot be met (or the
-    retry budget runs out) the last uniform draw is kept as-is.
+    The first crop lands anywhere.  Each later crop takes the first of up
+    to 64 uniform draws that sits at least `min_sep` pixels (Chebyshev)
+    from the first one, or the 64th when none does: the first crop may
+    land where the constraint cannot be met.  Spread placement keeps
+    partner views from collapsing onto the first view, so whole-view
+    descriptors of different platforms stay distinguishable.
+
+    The partners' candidates are drawn ahead, all 64 per partner in one
+    call.  Unless the placement used them all, `rng` is then rewound to
+    its state before that call and advanced by one call over exactly the
+    draws it used.  numpy draws each bounded integer from the bit
+    generator's 32-bit outputs, whose buffer is part of its state, so the
+    offsets and the state `rng` ends in are those of drawing one pair per
+    call until each partner fits.
     """
     if n_views < 2:
         raise InputError("need at least 2 views")
@@ -144,13 +153,18 @@ def crop_views(
         raise InputError(f"view {view_size} larger than world {world}")
     hi = world - view_size + 1
     ovy, ovx = rng.integers(0, hi, size=2).tolist()
-    offsets = [(ovy, ovx)]
+    saved = rng.bit_generator.state
+    ahead = rng.integers(0, hi, size=(_TRIES * (n_views - 1), 2))
+    fits = (np.maximum(np.abs(ahead[:, 0] - ovy), np.abs(ahead[:, 1] - ovx)) >= min_sep).tolist()
+    picks, used = [], 0
     for _ in range(n_views - 1):
-        for _try in range(64):
-            oy, ox = rng.integers(0, hi, size=2).tolist()
-            if max(abs(oy - ovy), abs(ox - ovx)) >= min_sep:
-                break
-        offsets.append((oy, ox))
+        tries = fits[used : used + _TRIES]
+        used += tries.index(True) + 1 if True in tries else _TRIES
+        picks.append(used - 1)
+    if used < len(fits):  # rewind, then replay only the draws the placement used
+        rng.bit_generator.state = saved
+        rng.integers(0, hi, size=(used, 2))
+    offsets = [(ovy, ovx)] + [tuple(pair) for pair in ahead[picks].tolist()]
     views = [image[oy : oy + view_size, ox : ox + view_size].copy() for oy, ox in offsets]
     masks = [mask[oy : oy + view_size, ox : ox + view_size].copy() for oy, ox in offsets]
     return views, masks, offsets
@@ -160,7 +174,7 @@ def degrade(view: np.ndarray, cfg: NoiseConfig, rng: np.random.Generator) -> np.
     """Apply one degradation; the mask is never touched."""
     if cfg.kind == "gaussian":
         out = view + rng.normal(0.0, cfg.strength, size=view.shape)
-        return _f32(np.clip(out, 0.0, 1.0))
+        return _f32(np.clip(out, 0.0, 1.0, out=out))
     if cfg.kind == "occlusion":
         h, w = view.shape[:2]
         # sampled strictly inside [0.25, 0.5] so integer rounding of the
@@ -215,7 +229,7 @@ def make_sample(
     )
 
     victim = 0
-    clean_view = views[victim].copy()
+    clean_view = views[victim]  # degrade returns a new view, so this stays the clean crop
     degraded = [False] * n_platforms
     if rng.random() < DEGRADE_PROB:
         degraded[victim] = True
@@ -225,8 +239,9 @@ def make_sample(
     clean_twin = None
     if mode == "homo-cis":
         clean_twin = int(rng.integers(1, n_platforms))
-        views[clean_twin] = clean_view.copy()
-        masks[clean_twin] = masks[victim].copy()
+        # into the twin's own crops, which it no longer needs
+        views[clean_twin][...] = clean_view
+        masks[clean_twin][...] = masks[victim]
     elif mode == "hetero-pis":
         for j in range(n_platforms):
             if j != victim:

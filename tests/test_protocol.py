@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from dcpnet import autodiff as ad
-from dcpnet import harness, protocol as pr, scenes, training
+from dcpnet import baselines as bl
+from dcpnet import harness, protocol as pr, rff, scenes, training
 from dcpnet.autodiff import Tensor
 from dcpnet.errors import ProtocolError
 from dcpnet.network import decode_segmentation, encode_view, predict_segmentation
@@ -130,6 +131,44 @@ def test_every_message_of_a_frame_goes_through_transmit(monkeypatch, method):
     monkeypatch.setattr(pr, "transmit", spy)
     res = pr.run_frame(sample, params, cfg, method)
     assert sent and sent == [e[:4] for e in res.ledger.entries]
+
+
+@pytest.mark.parametrize("method", ["dcp-net", "concat-all"])
+def test_fusion_receives_the_float32_rounded_partner_grids(monkeypatch, method):
+    cfg = small_cfg(n_platforms=3, request_threshold=1.0)
+    params = harness.init_params(method, cfg, seed=0)
+    if method == "dcp-net":  # scores that are not uniform, so some candidate is granted
+        params["smim.w_alpha"].data = np.random.default_rng(0).normal(size=params["smim.w_alpha"].shape) * 100.0
+    sample = scenes.make_sample(small_spec(), "homo-cis", 0, 0, n_platforms=3)
+    feats = [encode_view(Tensor(v), params).data for v in sample.views]
+    received = []  # (local grid, collaborative grid) of every pull, in the order fusion got them
+    if method == "dcp-net":
+        compute_related = rff.compute_related
+
+        def spy(f_local, f_collab, p):
+            received.append((f_local.data, f_collab.data))
+            return compute_related(f_local, f_collab, p)
+
+        monkeypatch.setattr(rff, "compute_related", spy)
+    else:
+        fuse_baseline = bl.fuse_baseline
+
+        def spy(kind, pulled, i, partners, p):
+            received.extend((pulled[i].data, pulled[j].data) for j in partners)
+            return fuse_baseline(kind, pulled, i, partners, p)
+
+        monkeypatch.setattr(bl, "fuse_baseline", spy)
+    res = pr.run_frame(sample, params, cfg, method)
+    if method == "dcp-net":
+        pulls = [(i, j) for i, st in enumerate(res.states) for j in sorted(st.supporters)]
+    else:
+        pulls = [(sample.victim, j) for j in bl.baseline_partners(method, sample, sample.victim)]
+    assert pulls and len(received) == len(pulls) == res.ledger.counts()["grant"]
+    for (i, j), (local, collab) in zip(pulls, received):
+        rounded = feats[j].astype(np.float32).astype(np.float64)
+        assert not np.array_equal(rounded, feats[j])  # the rounding shows in these grids
+        assert collab.dtype == np.float64 and collab.tobytes() == rounded.tobytes(), (i, j)
+        assert local.tobytes() == feats[i].tobytes(), (i, j)  # the local grid does not cross the wire
 
 
 def test_no_requests_means_no_bytes_and_local_predictions():

@@ -1,5 +1,8 @@
 """World generation, cropping, degradation, dataset persistence."""
 
+import hashlib
+import itertools
+import pickle
 import warnings
 
 import numpy as np
@@ -115,6 +118,114 @@ def test_crop_views_masks_match_views():
     for v, m, (oy, ox) in zip(views, masks, offs):
         assert np.array_equal(v, img[oy:oy + 16, ox:ox + 16])
         assert np.array_equal(m, mask[oy:oy + 16, ox:ox + 16])
+
+
+def rejection_crop_offsets(world: int, view_size: int, n_views: int, rng: np.random.Generator, min_sep: int):
+    """Reference placement: the first crop anywhere, then each partner's
+    pairs drawn one call at a time until one sits `min_sep` away (Chebyshev),
+    keeping the 64th when none does."""
+    hi = world - view_size + 1
+    ovy, ovx = rng.integers(0, hi, size=2).tolist()
+    offsets = [(ovy, ovx)]
+    for _ in range(n_views - 1):
+        for _try in range(64):
+            oy, ox = rng.integers(0, hi, size=2).tolist()
+            if max(abs(oy - ovy), abs(ox - ovx)) >= min_sep:
+                break
+        offsets.append((oy, ox))
+    return offsets
+
+
+def _first_crop_seeds(hi: int) -> dict[str, list[int]]:
+    """Two seeds each whose first crop lands in a corner, on an edge (one
+    coordinate extreme) or at the centre (both within 1 of the middle)."""
+    found: dict[str, list[int]] = {"corner": [], "edge": [], "centre": []}
+    mid = (hi - 1) / 2
+    for seed in range(20_000):
+        oy, ox = np.random.default_rng(seed).integers(0, hi, size=2).tolist()
+        extremes = (oy in (0, hi - 1)) + (ox in (0, hi - 1))
+        place = ("centre" if max(abs(oy - mid), abs(ox - mid)) <= 1 else None, "edge", "corner")[extremes]
+        if place and len(found[place]) < 2:
+            found[place].append(seed)
+        if all(len(seeds) == 2 for seeds in found.values()):
+            return found
+    raise AssertionError(f"no seeds for every first-crop place: {found}")
+
+
+@pytest.mark.parametrize("world, view_size", [(32, 16), (128, 64)])
+def test_crop_views_draws_ahead_to_the_reference_offsets_and_state(world, view_size):
+    reach = world - view_size
+    # 0 always fits; a quarter of the range fits from nearly anywhere; from the
+    # centre, past half the range fits nowhere, so every partner spends all 64
+    # tries; the full range fits only opposite an extreme, so tries run out now
+    # and then
+    separations = sorted({0, reach // 4, reach // 2 + 2, reach * 3 // 4, reach})
+    image, mask = np.zeros((world, world, 3)), np.zeros((world, world), dtype=np.int64)
+    for place, seeds in _first_crop_seeds(reach + 1).items():
+        for seed, parity, n_views, min_sep in itertools.product(seeds, (0, 1), range(2, 6), separations):
+            ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for r in (ref_rng, rng):  # an odd draw leaves half a 64-bit output buffered
+                r.integers(0, 7, size=parity)
+            want = rejection_crop_offsets(world, view_size, n_views, ref_rng, min_sep)
+            views, masks, got = scenes.crop_views(image, mask, view_size, n_views, rng, min_sep)
+            where = (place, seed, parity, n_views, min_sep)
+            assert got == want, where
+            assert rng.bit_generator.state == ref_rng.bit_generator.state, where
+            assert len(views) == len(masks) == n_views
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
+@pytest.mark.parametrize("parity", [0, 1])
+@pytest.mark.parametrize("hi", [17, 65, 3 * 2**30])
+def test_k_bounded_pair_draws_are_one_k_by_2_draw(bit_generator, parity, hi):
+    """crop_views' draw-ahead rests on this: numpy draws each bounded integer
+    below 2**32 from the bit generator's 32-bit outputs, and PCG64 keeps the
+    spare half of a 64-bit output in its state, so call boundaries do not
+    matter.  If a numpy release changes that, crop_views is no longer the
+    reference placement and this fails."""
+    for k in (1, 2, 3, 64, 193):
+        one_by_one, at_once = (np.random.Generator(bit_generator(k + parity)) for _ in range(2))
+        for rng in (one_by_one, at_once):
+            rng.integers(0, 7, size=parity)  # an odd draw count leaves half a PCG64 output buffered
+        if bit_generator is np.random.PCG64:
+            assert one_by_one.bit_generator.state["has_uint32"] == parity
+        singles = [one_by_one.integers(0, hi, size=2).tolist() for _ in range(k)]
+        assert singles == at_once.integers(0, hi, size=(k, 2)).tolist(), (k, parity)
+        assert pickle.dumps(one_by_one.bit_generator.state) == pickle.dumps(at_once.bit_generator.state), (k, parity)
+
+
+# SHA-256 over make_dataset of every mode on the specs below: each sample's
+# views, masks and fields, and the state its generator ends in; recorded
+# before crop_views drew its partner candidates ahead
+DATASET_GOLDEN = "8c6dbaf4bfb94ba4ec0b4a96a65d34448fee572d871f8890ea3940c5a3e896ef"
+
+
+def test_datasets_keep_their_bits(monkeypatch):
+    made, default_rng = [], np.random.default_rng  # every sample's generator, in order
+
+    def recording(*args):
+        made.append(default_rng(*args))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    runs = [
+        (WorldSpec(), 8, {}),
+        (small_spec(), 16, dict(n_platforms=2)),
+        (small_spec(min_view_separation=12), 16, dict(n_platforms=3, noise_kinds=("blur", "gaussian"))),
+        (small_spec(min_view_separation=16), 16, dict(n_platforms=5, noise_kinds=("occlusion",))),
+    ]
+    h = hashlib.sha256()
+    for spec, count, kwargs in runs:
+        for seed, mode in enumerate(scenes.MODES):
+            made.clear()
+            samples = scenes.make_dataset(spec, mode, count, seed=seed, **kwargs)
+            assert len(made) == len(samples)
+            for s, rng in zip(samples, made):
+                for a in s.views + s.masks:
+                    h.update(f"{a.dtype.str}{a.shape}".encode() + a.tobytes())
+                h.update(repr((s.degraded, s.victim, s.clean_twin, s.mode, s.seed, s.frame, s.classes)).encode())
+                h.update(repr(rng.bit_generator.state).encode())
+    assert h.hexdigest() == DATASET_GOLDEN
 
 
 def test_occlusion_area_stays_in_band():
