@@ -9,8 +9,11 @@ fixed to what the collaborative-perception network needs (matmul,
 concat, reshape, pooling, nearest upsampling, cross-entropy).  All backward passes are
 validated against central finite differences (see `grad_check`).
 
-Compute is float64 throughout; float32 appears only at the wire /
-file-format boundary.
+Compute is float64 throughout.  float32 appears at the wire and file-format
+boundary and in the samples held in memory.  A float32 input image is held
+as it is by a tensor that takes no gradient, and `conv2d`, the one op that
+reads it, widens it exactly in the patch copy it makes anyway (`_im2col`);
+every other tensor, a loaded checkpoint's included, is float64.
 """
 
 from __future__ import annotations
@@ -71,21 +74,24 @@ def no_grad():
 
 
 class Tensor:
-    """A float64 array plus its place in the computation graph.
+    """A float64 array (or a float32 input image) plus its place in the computation graph.
 
     The constructor builds leaf tensors (parameters, inputs), which have
     no parents; ops build interior nodes with `_node`.  Interior nodes
     carry a `_backward` closure that adds d(loss)/d(parent) into each
     parent's `.grad` given d(loss)/d(self).  A tensor built with
-    `requires_grad=False` (an input image) keeps `.grad` None.  An op
-    result built under `no_grad()` has no parents or closure and does
-    not require a gradient.
+    `requires_grad=False` (an input image) keeps `.grad` None, and keeps
+    a float32 array as it is: the image's file precision, widened by
+    `conv2d`'s patch copy.  An op result built under `no_grad()` has no
+    parents or closure and does not require a gradient.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=True):
-        self.data = np.asarray(data, dtype=np.float64)
+        if requires_grad or not (isinstance(data, np.ndarray) and data.dtype == np.float32):
+            data = np.asarray(data, dtype=np.float64)
+        self.data = data
         self.grad = None
         self.requires_grad = requires_grad
         self._parents = ()
@@ -391,14 +397,16 @@ class _PadBuffers(threading.local):
 
 
 _pad_buffers = _PadBuffers()
+_FLOAT64 = np.dtype(np.float64)  # the padded buffers' dtype, whatever the input's
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
     """Patch matrix (ho*wo) x (kh*kw*c): the input is copied into the
-    interior of this thread's padded buffer for its shape, whose border
-    stays zero, and one strided view over the buffer is copied out by a
-    single reshape.  The result never shares memory with the buffer."""
-    inner, taps, ho, wo, aliased = _pad_buffers.get(x.shape, x.dtype, kh, kw, stride, pad)
+    interior of this thread's float64 padded buffer for its shape, whose
+    border stays zero (a float32 image is widened by this copy), and one
+    strided view over the buffer is copied out by a single reshape.  The
+    result never shares memory with the buffer."""
+    inner, taps, ho, wo, aliased = _pad_buffers.get(x.shape, _FLOAT64, kh, kw, stride, pad)
     inner[...] = x
     cols = taps.reshape(ho * wo, kh * kw * x.shape[2])
     return (cols.copy() if aliased else cols), ho, wo

@@ -11,6 +11,9 @@ from .errors import ConfigError
 # RFF's coordinate channels divide by the grid's side minus one
 MIN_VIEW_SIZE = 16
 
+# class ids are held in uint8 masks and predictions
+MAX_CLASSES = 256
+
 
 @dataclass
 class ModelConfig:
@@ -35,8 +38,8 @@ class ModelConfig:
             )
         if self.view_size % 8 != 0:
             raise ConfigError(f"view size {self.view_size} not divisible by 8")
-        if self.classes < 2:
-            raise ConfigError("need at least 2 classes")
+        if not 2 <= self.classes <= MAX_CLASSES:
+            raise ConfigError(f"{self.classes} classes outside [2, {MAX_CLASSES}]")
         if not 0.0 <= self.request_threshold <= 1.0:
             raise ConfigError(f"request threshold {self.request_threshold} outside [0, 1]")
         # r == qk_dim is allowed as the no-compression ceiling in sweeps
@@ -87,8 +90,8 @@ class WorldSpec:
             raise ConfigError(f"view size {self.view_size} is not positive")
         if self.view_size > self.world_size:
             raise ConfigError(f"view {self.view_size} larger than world {self.world_size}")
-        if self.classes < 2:
-            raise ConfigError("need at least 2 classes")
+        if not 2 <= self.classes <= MAX_CLASSES:
+            raise ConfigError(f"{self.classes} classes outside [2, {MAX_CLASSES}]")
         if self.min_view_separation is None:
             self.min_view_separation = min(48, self.world_size - self.view_size)
         if not 0 <= self.min_view_separation <= self.world_size - self.view_size:

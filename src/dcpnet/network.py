@@ -73,11 +73,12 @@ def decode_segmentation(fused: Tensor, params: dict[str, Tensor]) -> Tensor:
 
 
 def predict_segmentation(fused: Tensor, params: dict[str, Tensor]) -> np.ndarray:
-    """Feature grid -> H x W class mask at image resolution.
+    """Feature grid -> H x W uint8 class mask at image resolution.
 
     Equal to `np.argmax(decode_segmentation(fused, params).data, axis=2)`:
     nearest upsampling copies each logit vector unchanged, and both
-    argmaxes pick the first maximum on ties.
+    argmaxes pick the first maximum on ties.  `ModelConfig` caps the
+    class count at 256, so every id fits a byte.
     """
-    mask = np.argmax(_head(fused, params).data, axis=2)
+    mask = np.argmax(_head(fused, params).data, axis=2).astype(np.uint8)
     return mask.repeat(8, 0).repeat(8, 1)

@@ -159,7 +159,10 @@ def grant_fuse(i: int, feats: list[Tensor], params: dict[str, Tensor], confidenc
 
 @dataclass
 class FrameResult:
-    predictions: list[np.ndarray]       # per-platform H x W class masks
+    """One frame's outputs: a uint8 class mask per platform, the SMIM
+    states and the ledger of every message sent."""
+
+    predictions: list[np.ndarray]       # per-platform H x W uint8 class masks
     states: list[smim.SmimState]
     ledger: CommLedger
 
@@ -184,7 +187,7 @@ def run_frame(
         return Tensor(transmit(ledger, kind, src, dst, sample.frame, tensor.data))
 
     # phase 1: local encoding
-    feats = [encode_view(Tensor(sample.views[i]), params) for i in range(n)]
+    feats = [encode_view(Tensor(sample.views[i], requires_grad=False), params) for i in range(n)]
 
     if method != "dcp-net":
         # a baseline pulls its regime's partners onto the victim alone

@@ -25,8 +25,9 @@ _METHOD_TYPE = {
 
 
 def write_pgm(path, image: np.ndarray) -> None:
-    """Binary (P5) grayscale image from float values in [0, 1]."""
-    gray = (np.clip(np.asarray(image), 0.0, 1.0) * 255).round().astype(np.uint8)
+    """Binary (P5) grayscale image from values in [0, 1], scaled in float64
+    whatever their dtype, so a float32 image writes its widening's bytes."""
+    gray = (np.clip(np.asarray(image, dtype=np.float64), 0.0, 1.0) * 255).round().astype(np.uint8)
     h, w = gray.shape
     write_file(path, f"P5\n{w} {h}\n255\n".encode() + gray.tobytes())
 
@@ -37,8 +38,8 @@ def read_pgm(path) -> np.ndarray:
 
 
 def write_ppm(path, image: np.ndarray) -> None:
-    """Binary (P6) color image from float values in [0, 1]."""
-    rgb = (np.clip(np.asarray(image), 0.0, 1.0) * 255).round().astype(np.uint8)
+    """Binary (P6) color image from values in [0, 1], scaled in float64 as in `write_pgm`."""
+    rgb = (np.clip(np.asarray(image, dtype=np.float64), 0.0, 1.0) * 255).round().astype(np.uint8)
     h, w, _ = rgb.shape
     write_file(path, f"P6\n{w} {h}\n255\n".encode() + rgb.tobytes())
 

@@ -11,21 +11,25 @@ modes mirror increasingly hard collaboration settings:
 * hetero-pis — as homo-pis, but partner views additionally pass a fixed
   "second sensor" transform (channel remap + resolution round-trip).
 
-All pixel data is float32-representable so dataset files round-trip
-bitwise through the DCPT format.
+Samples are held at the precision their DCPT files store: float32 views,
+computed in float64 and rounded once, and uint8 class ids, so a dataset
+round-trips bitwise and `WorldSpec`, `ModelConfig` and the dataset header
+cap the class count at 256.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import re
+import threading
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .config import NoiseConfig, WorldSpec
+from .config import MAX_CLASSES, NoiseConfig, WorldSpec
 from .errors import ConfigError, FormatError, InputError
 from .tensorio import load_tensor, read_manifest, save_tensor, write_file
 
@@ -53,10 +57,14 @@ _PALETTE = np.array(
 
 @dataclass
 class SceneSample:
-    """One collaborative frame: N views with masks plus degradation info."""
+    """One collaborative frame: N views with masks plus degradation info.
 
-    views: list[np.ndarray]          # N arrays H x W x 3, float64 values in [0, 1]
-    masks: list[np.ndarray]          # N arrays H x W, int class ids
+    Views and masks are held at the precision of their DCPT files, so a
+    sample takes 4 bytes per pixel channel and 1 per class id; consumers
+    widen where they compute (`autodiff.conv2d` widens a view in its patch copy)."""
+
+    views: list[np.ndarray]          # N arrays H x W x 3, float32 values in [0, 1]
+    masks: list[np.ndarray]          # N arrays H x W, uint8 class ids
     degraded: list[bool]
     victim: int
     clean_twin: int | None           # platform holding the victim's noise-free view (homo-cis)
@@ -71,7 +79,25 @@ class SceneSample:
 
 
 def _f32(arr: np.ndarray) -> np.ndarray:
+    """float64 `arr` rounded to float32 values: the world painter's rounding, as the
+    reference painter in tests/test_scenes.py applies it."""
     return arr.astype(np.float32).astype(np.float64)
+
+
+def _world_planes(n: int):
+    """Buffers for the background noise (n x n x 3) and channel planes (3 x n x n) of an n px world."""
+    return np.empty((n, n, 3)), np.empty((3, n, n))
+
+
+class _WorldBuffers(threading.local):
+    """Per thread, so that two threads never paint into one buffer;
+    bounded like `autodiff._pad_buffers`."""
+
+    def __init__(self):
+        self.get = functools.lru_cache(maxsize=2)(_world_planes)
+
+
+_world_buffers = _WorldBuffers()
 
 
 def generate_world(spec: WorldSpec, rng: np.random.Generator):
@@ -86,7 +112,15 @@ def generate_world(spec: WorldSpec, rng: np.random.Generator):
     if spec.classes > len(_PALETTE):
         raise ConfigError(f"at most {len(_PALETTE)} classes supported by the palette")
     n = spec.world_size
-    planes = rng.normal(0.0, 0.02, size=(n, n, 3)).transpose(2, 0, 1).copy()
+    # allocated before the painting temporaries, so that it does not end at the top
+    # of the heap, which glibc trims when it is freed: the next world would then
+    # fault its pages in anew (x86-64 glibc: 80 against 1 minor fault per default sample)
+    image = np.empty((n, n, 3))
+    background, planes = _world_buffers.get(n)
+    # the draws of rng.normal(0.0, 0.02, size=(n, n, 3)), which returns 0.0 + 0.02 * z;
+    # dropping the 0.0 + changes only the sign of a zero, and the palette add absorbs it
+    rng.standard_normal(out=background)
+    np.multiply(background.transpose(2, 0, 1), 0.02, out=planes)
     planes += _PALETTE[0][:, None, None]
     mask = np.zeros((n, n), dtype=np.int64)
 
@@ -115,7 +149,6 @@ def generate_world(spec: WorldSpec, rng: np.random.Generator):
             plane[rows, cols][region] = noise[..., c] + color[c]
         mask[rows, cols][region] = cls
     np.clip(planes, 0.0, 1.0, out=planes)
-    image = np.empty((n, n, 3))
     for c, plane in enumerate(planes.astype(np.float32)):  # the _f32 rounding
         image[:, :, c] = plane
     return image, mask
@@ -129,7 +162,7 @@ def crop_views(
     rng: np.random.Generator,
     min_sep: int = 0,
 ):
-    """N randomly placed crops; each view keeps its exact mask crop.
+    """N randomly placed crops, as float32 views with their exact uint8 mask crops.
 
     The first crop lands anywhere.  Each later crop takes the first of up
     to 64 uniform draws that sits at least `min_sep` pixels (Chebyshev)
@@ -165,16 +198,18 @@ def crop_views(
         rng.bit_generator.state = saved
         rng.integers(0, hi, size=(used, 2))
     offsets = [(ovy, ovx)] + [tuple(pair) for pair in ahead[picks].tolist()]
-    views = [image[oy : oy + view_size, ox : ox + view_size].copy() for oy, ox in offsets]
-    masks = [mask[oy : oy + view_size, ox : ox + view_size].copy() for oy, ox in offsets]
+    # exact: the image holds float32 values, the mask class ids below 256
+    views = [image[oy : oy + view_size, ox : ox + view_size].astype(np.float32) for oy, ox in offsets]
+    masks = [mask[oy : oy + view_size, ox : ox + view_size].astype(np.uint8) for oy, ox in offsets]
     return views, masks, offsets
 
 
 def degrade(view: np.ndarray, cfg: NoiseConfig, rng: np.random.Generator) -> np.ndarray:
-    """Apply one degradation; the mask is never touched."""
+    """Apply one degradation, computed in float64 and rounded once to a
+    new float32 view; the mask is never touched."""
     if cfg.kind == "gaussian":
         out = view + rng.normal(0.0, cfg.strength, size=view.shape)
-        return _f32(np.clip(out, 0.0, 1.0, out=out))
+        return np.clip(out, 0.0, 1.0, out=out).astype(np.float32)
     if cfg.kind == "occlusion":
         h, w = view.shape[:2]
         # sampled strictly inside [0.25, 0.5] so integer rounding of the
@@ -184,17 +219,17 @@ def degrade(view: np.ndarray, cfg: NoiseConfig, rng: np.random.Generator) -> np.
         rw = max(1, min(w, int(round(frac * h * w / rh))))
         oy = int(rng.integers(0, h - rh + 1))
         ox = int(rng.integers(0, w - rw + 1))
-        out = view.copy()
+        out = view.astype(np.float32)
         out[oy : oy + rh, ox : ox + rw] = 0.0
-        return _f32(out)
+        return out
     if cfg.kind == "blur":
         pad = 2
         xp = np.pad(view, ((pad, pad), (pad, pad), (0, 0)), mode="edge")
-        acc = np.zeros_like(view)
+        acc = np.zeros(view.shape)
         for i in range(5):
             for j in range(5):
                 acc += xp[i : i + view.shape[0], j : j + view.shape[1]]
-        return _f32(acc / 25.0)
+        return (acc / 25.0).astype(np.float32)
     raise InputError(f"unknown noise kind {cfg.kind!r}")
 
 
@@ -204,7 +239,7 @@ def _hetero_transform(view: np.ndarray) -> np.ndarray:
     remap = view[:, :, [2, 0, 1]] * np.array([0.9, 1.05, 0.85]) + 0.03
     down = remap[::2, ::2]
     up = np.repeat(np.repeat(down, 2, axis=0), 2, axis=1)
-    return _f32(np.clip(up, 0.0, 1.0))
+    return np.clip(up, 0.0, 1.0).astype(np.float32)
 
 
 def make_sample(
@@ -325,10 +360,13 @@ def _parse_sample_line(line: str):
 
 
 def _load_mask(path: str, classes: int) -> np.ndarray:
-    """A mask file as int64 ids, each checked to be a class id in [0, classes)."""
+    """A mask file as uint8 ids, each checked to be a class id in [0, classes).
+
+    The float32 values are range-checked before they are narrowed, so no
+    cast sees a value outside uint8 (`classes` is at most 256)."""
     raw = load_tensor(path)
-    ids = raw.astype(np.int64)
-    if ids.size and (ids.min() < 0 or ids.max() >= classes or not np.array_equal(ids, raw)):
+    ids = raw.astype(np.uint8) if not raw.size or 0 <= raw.min() and raw.max() < classes else None
+    if ids is None or not np.array_equal(ids, raw):
         raise FormatError(f"{path} holds values that are not class ids in [0, {classes})")
     return ids
 
@@ -341,6 +379,8 @@ def load_dataset(dirpath) -> list[SceneSample]:
     if len(header) != 4 or header[::2] != ["count", "classes"] or not all(h.isdecimal() for h in header[1::2]):
         raise FormatError(f"manifest {manifest} lacks its 'count N classes K' header")
     expected, classes = int(header[1]), int(header[3])
+    if classes > MAX_CLASSES:
+        raise FormatError(f"manifest {manifest} declares {classes} classes, above the {MAX_CLASSES} a uint8 mask holds")
     present = set(os.listdir(d))
     platform_files: dict[int, list[tuple[int, str]]] = {}  # frame -> (platform index, file name)
     for name in present:

@@ -1,9 +1,10 @@
 """Flat binary tensor files and checkpoint manifests.
 
 Tensor format (magic "DCPT"): u32 rank, u32 per dimension, then the
-row-major little-endian float32 payload.  Values are float64 in memory;
-arrays that round-trip bitwise must therefore hold float32-representable
-values (everything the generator and the wire produce does).
+row-major little-endian float32 payload.  A loaded tensor is the file's
+float32 values in a native float32 array; a saved array of any float or
+integer dtype round-trips bitwise when its values are float32-representable
+(everything the generator and the wire produce is).
 
 Every file the package writes goes through `write_file`, which rewrites an
 existing file in place, not truncated on open (README.md, Formats, says why).
@@ -71,7 +72,7 @@ def tensor_from_bytes(buf: bytes) -> np.ndarray:
     data = np.frombuffer(payload, dtype="<f4").reshape(dims)
     if not np.isfinite(data).all():
         raise FormatError("tensor payload holds non-finite values")
-    return data.astype(np.float64)
+    return data.astype(np.float32)  # an owned, writable, native-order copy
 
 
 def save_tensor(path, arr: np.ndarray) -> None:

@@ -364,6 +364,20 @@ def test_input_without_grad_keeps_none_and_leaves_weight_grads_equal():
     assert all(np.array_equal(a, b) for a, b in zip(grads[True], grads[False]))
 
 
+def test_a_float32_input_image_is_held_as_it_is_and_widened_by_the_patch_copy():
+    image = RNG.normal(size=(8, 8, 3)).astype(np.float32)
+    assert Tensor(image, requires_grad=False).data is image
+    assert Tensor(image).data.dtype == np.float64   # a tensor that takes a gradient is float64
+    w, b = leaf(3, 3, 3, 4), leaf(4)
+    runs = []
+    for data in (image, image.astype(np.float64)):
+        w.grad = b.grad = None
+        y = ad.conv2d(Tensor(data, requires_grad=False), w, b, stride=2, pad=1)
+        backward(ad.sum_all(ad.mul(y, y)))
+        runs.append((y.data.dtype, y.data.tobytes(), w.grad.tobytes(), b.grad.tobytes()))
+    assert runs[0] == runs[1] and runs[0][0] == np.float64
+
+
 def test_first_gradient_is_an_owned_c_ordered_copy():
     x = leaf(3, 5)
     g = RNG.normal(size=(5, 3))

@@ -168,6 +168,17 @@ def test_pgm_ppm_round_trip(tmp_path):
         reports.read_pgm(tmp_path / "i.ppm")
 
 
+def test_float32_images_write_the_bytes_of_their_float64_widening(tmp_path):
+    # float32 values beside the rounding points (k + 0.5) / 255, where half of the
+    # products by 255 taken in float32 round to the other integer
+    gray = ((np.arange(255) + 0.5) / 255).astype(np.float32).reshape(15, 17)
+    rgb = np.stack([gray, gray[::-1], 1 - gray], axis=2)
+    for write, image in ((reports.write_pgm, gray), (reports.write_ppm, rgb)):
+        write(tmp_path / "narrow", image)
+        write(tmp_path / "wide", image.astype(np.float64))
+        assert (tmp_path / "narrow").read_bytes() == (tmp_path / "wide").read_bytes()
+
+
 @pytest.mark.parametrize("buf", [
     pytest.param(b"P5\n4", id="missing-field"),
     pytest.param(b"P5\n# c", id="unterminated-comment"),

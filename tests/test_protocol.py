@@ -237,6 +237,21 @@ def test_training_after_threaded_run_frame_still_gets_every_gradient():
     assert [k for k, p in params.items() if p.grad is None] == []
 
 
+def test_samples_and_predictions_are_held_at_file_precision(tmp_path):
+    cfg = small_cfg(n_platforms=3)
+    params = harness.init_dcp_params(cfg, seed=0)
+    for k, mode in enumerate(scenes.MODES):
+        # crops, degraded victims (every noise kind), clean twins and hetero partners
+        made = scenes.make_dataset(small_spec(), mode, 6, seed=k, n_platforms=3,
+                                   noise_kinds=("blur", "gaussian", "occlusion"))
+        assert any(s.degraded[s.victim] for s in made) and not all(s.degraded[s.victim] for s in made)
+        scenes.save_dataset(made, tmp_path / mode)
+        for s in made + scenes.load_dataset(tmp_path / mode):
+            assert [(v.dtype, m.dtype) for v, m in zip(s.views, s.masks)] == [(np.float32, np.uint8)] * 3
+        predictions = pr.run_frame(made[0], params, cfg).predictions
+        assert [p.dtype for p in predictions] == [np.uint8] * 3
+
+
 def test_predict_segmentation_is_the_argmax_of_the_decoded_logits():
     cfg = small_cfg(classes=4)
     rng = np.random.default_rng(0)
@@ -253,7 +268,7 @@ def test_predict_segmentation_is_the_argmax_of_the_decoded_logits():
     for f, p in cases:
         got = predict_segmentation(f, p)
         want = np.argmax(decode_segmentation(f, p).data, axis=2)
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert got.dtype == np.uint8 and np.array_equal(got, want)
     assert np.all(got == 1)   # all-tied classes 1-3: the first maximum wins
 
 

@@ -3,7 +3,10 @@
 import hashlib
 import itertools
 import pickle
+import sys
+import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -62,6 +65,21 @@ def test_world_painter_matches_the_full_grid_reference_bitwise(world, classes, s
     assert image.tobytes() == ref_image.tobytes()
     assert mask.dtype == ref_mask.dtype and mask.tobytes() == ref_mask.tobytes()
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_threads_paint_worlds_in_their_own_buffers():
+    spec = WorldSpec(world_size=64, view_size=32, classes=6)
+    seeds = range(64)
+    serial = [scenes.generate_world(spec, np.random.default_rng(s))[0] for s in seeds]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            threaded = list(pool.map(lambda s: scenes.generate_world(spec, np.random.default_rng(s))[0], seeds,
+                                     timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(serial, threaded))
 
 
 def test_shape_kind_draw_is_the_stream_of_rng_choice():
@@ -221,11 +239,25 @@ def test_datasets_keep_their_bits(monkeypatch):
             samples = scenes.make_dataset(spec, mode, count, seed=seed, **kwargs)
             assert len(made) == len(samples)
             for s, rng in zip(samples, made):
-                for a in s.views + s.masks:
-                    h.update(f"{a.dtype.str}{a.shape}".encode() + a.tobytes())
+                for a in s.views + s.masks:  # widened: recorded when samples were held in float64 / int64
+                    wide = a.astype(np.float64 if a.dtype.kind == "f" else np.int64)
+                    h.update(f"{wide.dtype.str}{wide.shape}".encode() + wide.tobytes())
                 h.update(repr((s.degraded, s.victim, s.clean_twin, s.mode, s.seed, s.frame, s.classes)).encode())
                 h.update(repr(rng.bit_generator.state).encode())
     assert h.hexdigest() == DATASET_GOLDEN
+
+
+def test_make_dataset_keeps_a_default_sample_in_a_quarter_megabyte():
+    # float64 views and int64 masks kept 0.52 MB per default sample (4 platforms, 64 px)
+    scenes.make_sample(WorldSpec(), "homo-cis", 0, 0)  # this thread's world buffers, kept from here on
+    tracemalloc.start()
+    try:
+        samples = scenes.make_dataset(WorldSpec(), "homo-cis", 8, seed=3)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(samples) == 8
+    assert kept / 8 <= 0.25e6
 
 
 def test_occlusion_area_stays_in_band():
@@ -285,6 +317,8 @@ def test_worldspec_validation():
         WorldSpec(world_size=128, view_size=64, min_view_separation=100)
     with pytest.raises(ConfigError, match="view size 0"):
         WorldSpec(world_size=32, view_size=0, min_view_separation=0)
+    with pytest.raises(ConfigError, match="257 classes"):
+        WorldSpec(classes=257)   # masks are uint8 class ids
 
 
 @pytest.mark.parametrize("world", [1, 3, 4, 15])
@@ -417,6 +451,11 @@ def test_manifest_count_header_is_checked(tmp_path):
         (out / "manifest.txt").write_text(f"{header}\n{body}\n")
         with pytest.raises(FormatError, match="header"):
             scenes.load_dataset(out)
+    (out / "manifest.txt").write_text(f"count 1 classes 256\n{body}\n")
+    assert [s.classes for s in scenes.load_dataset(out)] == [256]
+    (out / "manifest.txt").write_text(f"count 1 classes 257\n{body}\n")
+    with pytest.raises(FormatError, match="257 classes, above the 256 a uint8 mask holds"):
+        scenes.load_dataset(out)
 
 
 def test_non_finite_view_is_rejected(tmp_path):
@@ -470,7 +509,8 @@ def test_save_rejects_samples_that_disagree_on_the_class_count(tmp_path):
     assert not (tmp_path / "ds").exists()
 
 
-@pytest.mark.parametrize("value", [3.0, -1.0, 1.5])
+# +-1e30 lie outside every integer type: narrowed before the range check, they warn
+@pytest.mark.parametrize("value", [3.0, -1.0, 1.5, 300.0, 1e30, -1e30])
 def test_mask_ids_outside_the_class_range_are_rejected(tmp_path, value):
     out = _one_sample_set(tmp_path)   # three classes
     mask = scenes.load_dataset(out)[0].masks[1].astype(np.float64)

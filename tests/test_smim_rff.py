@@ -176,3 +176,6 @@ def test_config_guards():
             ModelConfig(view_size=size)
     with pytest.raises(ConfigError):
         ModelConfig(n_platforms=1)
+    assert ModelConfig(classes=256).classes == 256
+    with pytest.raises(ConfigError, match="257 classes"):
+        ModelConfig(classes=257)   # predictions are uint8 class ids
