@@ -64,11 +64,6 @@ class ModelConfig:
         """Spatial side of the encoder output (stride-8)."""
         return self.view_size // 8
 
-    @property
-    def feature_bytes(self) -> int:
-        """Wire payload of one feature grant (float32)."""
-        return 4 * self.feature_size * self.feature_size * self.feature_channels
-
 
 # smallest world the painter draws: shape radii are drawn from [world // 16, world // 4)
 MIN_WORLD_SIZE = 16

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import re
 from pathlib import Path
 
 import numpy as np
@@ -32,43 +31,11 @@ def write_pgm(path, image: np.ndarray) -> None:
     write_file(path, f"P5\n{w} {h}\n255\n".encode() + gray.tobytes())
 
 
-def read_pgm(path) -> np.ndarray:
-    buf = Path(path).read_bytes()
-    return _read_netpbm(buf, b"P5", channels=1)
-
-
 def write_ppm(path, image: np.ndarray) -> None:
     """Binary (P6) color image from values in [0, 1], scaled in float64 as in `write_pgm`."""
     rgb = (np.clip(np.asarray(image, dtype=np.float64), 0.0, 1.0) * 255).round().astype(np.uint8)
     h, w, _ = rgb.shape
     write_file(path, f"P6\n{w} {h}\n255\n".encode() + rgb.tobytes())
-
-
-def read_ppm(path) -> np.ndarray:
-    buf = Path(path).read_bytes()
-    return _read_netpbm(buf, b"P6", channels=3)
-
-
-# width, height and maxval, each after whitespace or comment lines, then one whitespace byte
-_NETPBM_HEADER = re.compile(rb"(?:(?:\s|#[^\n]*\n)+(\d+))" * 3 + rb"\s")
-
-
-def _read_netpbm(buf: bytes, magic: bytes, channels: int) -> np.ndarray:
-    if not buf.startswith(magic):
-        raise FormatError(f"bad netpbm magic {buf[:2]!r}")
-    header = _NETPBM_HEADER.match(buf, 2)
-    if header is None:
-        raise FormatError(f"netpbm header is not three whole numbers: {buf[:40]!r}")
-    w, h, maxval = map(int, header.groups())
-    if not 1 <= maxval <= 255:
-        raise FormatError(f"netpbm maxval {maxval} outside 1..255 (one byte per sample)")
-    size = h * w * channels
-    if len(buf) - header.end() < size:
-        raise FormatError(f"netpbm payload truncated: {len(buf) - header.end()} of {size} bytes")
-    data = np.frombuffer(buf, dtype=np.uint8, count=size, offset=header.end())
-    if size and data.max() > maxval:
-        raise FormatError(f"netpbm sample {data.max()} exceeds maxval {maxval}")
-    return data.reshape((h, w) if channels == 1 else (h, w, channels))
 
 
 def table_row(record: MetricsRecord) -> str:

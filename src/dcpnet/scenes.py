@@ -78,12 +78,6 @@ class SceneSample:
         return len(self.views)
 
 
-def _f32(arr: np.ndarray) -> np.ndarray:
-    """float64 `arr` rounded to float32 values: the world painter's rounding, as the
-    reference painter in tests/test_scenes.py applies it."""
-    return arr.astype(np.float32).astype(np.float64)
-
-
 def _world_planes(n: int):
     """Buffers for the background noise (n x n x 3) and channel planes (3 x n x n) of an n px world."""
     return np.empty((n, n, 3)), np.empty((3, n, n))
@@ -149,7 +143,7 @@ def generate_world(spec: WorldSpec, rng: np.random.Generator):
             plane[rows, cols][region] = noise[..., c] + color[c]
         mask[rows, cols][region] = cls
     np.clip(planes, 0.0, 1.0, out=planes)
-    for c, plane in enumerate(planes.astype(np.float32)):  # the _f32 rounding
+    for c, plane in enumerate(planes.astype(np.float32)):  # rounded once to float32, as views are held
         image[:, :, c] = plane
     return image, mask
 
@@ -314,6 +308,12 @@ def save_dataset(samples: list[SceneSample], dirpath) -> None:
     classes = sorted({s.classes for s in samples})
     if len(classes) > 1:
         raise InputError(f"samples disagree on the class count: {classes}")
+    modes = sorted({s.mode for s in samples})
+    if len(modes) > 1:
+        raise InputError(f"samples disagree on the mode: {modes}")
+    misfit = [s.frame for s in samples if (s.clean_twin is None) == (s.mode == "homo-cis")]
+    if misfit:
+        raise InputError(f"frames {misfit} do not fit {modes[0]}: a homo-cis sample has a clean twin, others none")
     d = Path(dirpath)
     d.mkdir(parents=True, exist_ok=True)
     write_file(d / "manifest.txt", b"")  # a save cut short must not load
@@ -346,8 +346,8 @@ def _parse_sample_line(line: str):
         raise FormatError(f"non-integer field in manifest line {line!r}") from exc
     mode, flags = parts[2], parts[6]
     n = len(flags)
-    if not 0 <= frame < 2**32:
-        raise FormatError(f"frame {frame} outside [0, 2**32) in manifest line {line!r}")
+    if seed < 0 or not 0 <= frame < 2**32:
+        raise FormatError(f"seed {seed} is negative or frame {frame} outside [0, 2**32) in manifest line {line!r}")
     if mode not in MODES:
         raise FormatError(f"unknown mode {mode!r} in manifest line {line!r}")
     if set(flags) - {"0", "1"}:
@@ -356,6 +356,8 @@ def _parse_sample_line(line: str):
         raise FormatError(f"victim {victim} outside [0, {n}) in manifest line {line!r}")
     if twin != -1 and not 0 <= twin < n or twin == victim:
         raise FormatError(f"clean twin {twin} is neither -1 nor another platform in [0, {n})")
+    if (twin == -1) == (mode == "homo-cis"):
+        raise FormatError(f"clean twin {twin} does not fit {mode}: homo-cis has one, the other modes -1")
     return frame, mode, seed, victim, twin, [c == "1" for c in flags]
 
 
@@ -396,6 +398,8 @@ def load_dataset(dirpath) -> list[SceneSample]:
         n = len(degraded)
         if samples and n != samples[0].n_platforms:
             raise FormatError(f"frame {frame} has {n} platforms, the first sample has {samples[0].n_platforms}")
+        if samples and mode != samples[0].mode:
+            raise FormatError(f"frame {frame} is {mode}, the first sample is {samples[0].mode}")
         if frame in seen:
             raise FormatError(f"frame {frame} is listed twice in {manifest}")
         seen.add(frame)

@@ -61,7 +61,7 @@ def test_c2_mbpf_published_values():
         pr.transmit(single, pr.KIND_GRANT, 1, 0, frame, feature)
     assert pr.mbpf(concat, frames, "feature_only") == 1.500
     assert pr.mbpf(single, frames, "feature_only") == 0.500
-    assert 3 * cfg.feature_bytes == int(1.5 * 2**20)
+    assert 3 * 4 * cfg.feature_size**2 * cfg.feature_channels == int(1.5 * 2**20)  # float32 grids
 
 
 # -- criterion 3: CE formula on published numbers ---------------------------

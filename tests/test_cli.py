@@ -459,9 +459,11 @@ def test_one_class_has_one_gray_level_in_every_dump(tmp_path):
     prediction = np.ones_like(mask)  # class 1 everywhere
     result = pr.FrameResult([prediction, prediction], [], pr.CommLedger())
     reports.emit_report([], tmp_path, cli._victim_dumps([result], [sample], 1))
-    assert (reports.read_pgm(tmp_path / "frame0000_pred.pgm") == 128).all()
-    levels = {0: 0, 1: 128, 2: 255}
-    assert np.array_equal(reports.read_pgm(tmp_path / "frame0000_mask.pgm"), np.vectorize(levels.get)(mask))
+    h, w = mask.shape
+    header = f"P5\n{w} {h}\n255\n".encode()
+    assert (tmp_path / "frame0000_pred.pgm").read_bytes() == header + bytes([128]) * mask.size
+    levels = np.array([0, 128, 255], dtype=np.uint8)
+    assert (tmp_path / "frame0000_mask.pgm").read_bytes() == header + levels[mask].tobytes()
 
 
 @pytest.mark.parametrize("cmd,method,flag", [

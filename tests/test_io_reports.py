@@ -155,17 +155,11 @@ def test_the_sweep_referent_is_the_local_decode_even_when_every_confidence_under
 def test_pgm_ppm_round_trip(tmp_path):
     mask = np.array([[0, 1], [2, 2]])
     reports.write_pgm(tmp_path / "m.pgm", mask / 2)  # class k of 3 at gray k / 2
-    gray = reports.read_pgm(tmp_path / "m.pgm")
-    assert gray.shape == (2, 2)
-    assert gray[0, 0] == 0 and gray[0, 1] == 128 and gray[1, 1] == 255
+    assert (tmp_path / "m.pgm").read_bytes() == b"P5\n2 2\n255\n" + bytes([0, 128, 255, 255])
 
     img = np.array([[[0.0, 0.5, 1.0]]])
     reports.write_ppm(tmp_path / "i.ppm", img)
-    rgb = reports.read_ppm(tmp_path / "i.ppm")
-    assert rgb.tolist() == [[[0, 128, 255]]]
-
-    with pytest.raises(FormatError):
-        reports.read_pgm(tmp_path / "i.ppm")
+    assert (tmp_path / "i.ppm").read_bytes() == b"P6\n1 1\n255\n" + bytes([0, 128, 255])
 
 
 def test_float32_images_write_the_bytes_of_their_float64_widening(tmp_path):
@@ -177,21 +171,6 @@ def test_float32_images_write_the_bytes_of_their_float64_widening(tmp_path):
         write(tmp_path / "narrow", image)
         write(tmp_path / "wide", image.astype(np.float64))
         assert (tmp_path / "narrow").read_bytes() == (tmp_path / "wide").read_bytes()
-
-
-@pytest.mark.parametrize("buf", [
-    pytest.param(b"P5\n4", id="missing-field"),
-    pytest.param(b"P5\n# c", id="unterminated-comment"),
-    pytest.param(b"P5\nx 4\n255\n", id="non-integer-field"),
-    pytest.param(b"P5\n2 2\n255\n\x00", id="short-payload"),
-    pytest.param(b"P5\n2 2\n65535\n" + bytes(range(8)), id="16-bit-maxval"),
-    pytest.param(b"P5\n1 1\n0\n\x00", id="zero-maxval"),
-    pytest.param(b"P5\n2 1\n3\n\x03\x04", id="sample-above-maxval"),
-])
-def test_malformed_netpbm_is_a_format_error(tmp_path, buf):
-    (tmp_path / "m.pgm").write_bytes(buf)
-    with pytest.raises(FormatError, match="netpbm"):
-        reports.read_pgm(tmp_path / "m.pgm")
 
 
 def _record():

@@ -7,6 +7,7 @@ import sys
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from dcpnet import scenes
 from dcpnet.config import NoiseConfig, WorldSpec
 from dcpnet.errors import ConfigError, FormatError, InputError
-from dcpnet.scenes import SHAPE_DENSITY, _PALETTE, _f32
+from dcpnet.scenes import SHAPE_DENSITY, _PALETTE
 from dcpnet.tensorio import tensor_to_bytes
 
 from conftest import small_spec
@@ -51,7 +52,7 @@ def full_grid_world(spec: WorldSpec, rng: np.random.Generator):
         color = _PALETTE[cls] + rng.normal(0.0, 0.04, size=3)
         image[region] = color + rng.normal(0.0, 0.02, size=(int(region.sum()), 3))
         mask[region] = cls
-    return _f32(np.clip(image, 0.0, 1.0)), mask
+    return np.clip(image, 0.0, 1.0).astype(np.float32).astype(np.float64), mask
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -400,6 +401,22 @@ def test_manifest_view_sizes_must_agree(tmp_path):
         scenes.load_dataset(tmp_path / "ds")
 
 
+def test_a_dataset_holds_one_mode_and_a_twin_exactly_for_homo_cis(tmp_path):
+    spec, out = small_spec(), tmp_path / "ds"
+    cis = scenes.make_sample(spec, "homo-cis", 0, 1, n_platforms=2)
+    pis = scenes.make_sample(spec, "homo-pis", 1, 1, n_platforms=2)
+    for samples, match in (([cis, pis], "disagree on the mode"), ([replace(pis, clean_twin=1)], "do not fit"),
+                           ([replace(cis, clean_twin=None)], "do not fit")):
+        with pytest.raises(InputError, match=match):
+            scenes.save_dataset(samples, out)
+        assert not out.exists()
+    scenes.save_dataset([cis, replace(cis, frame=1)], out)
+    manifest = (out / "manifest.txt").read_text()
+    (out / "manifest.txt").write_text(manifest.replace("sample 1 homo-cis 1 0 1", "sample 1 homo-pis 1 0 -1"))
+    with pytest.raises(FormatError, match="frame 1 is homo-pis, the first sample is homo-cis"):
+        scenes.load_dataset(out)
+
+
 def _one_sample_set(tmp_path):
     samples = scenes.make_dataset(small_spec(), "homo-cis", 1, seed=1, n_platforms=2)
     out = tmp_path / "ds"
@@ -419,6 +436,9 @@ def _one_sample_set(tmp_path):
     pytest.param("sample 0 homo-cis 1.5 0 1 10", id="non-integer-seed"),
     pytest.param("sample 0 homo-cis 1 v 1 10", id="non-integer-victim"),
     pytest.param("sample 0 homo-cis 1 0 t 10", id="non-integer-twin"),
+    pytest.param("sample 0 homo-cis -1 0 1 10", id="negative-seed"),
+    pytest.param("sample 0 homo-cis 1 0 -1 10", id="cis-without-twin"),
+    pytest.param("sample 0 homo-pis 1 0 1 10", id="pis-with-twin"),
 ])
 def test_manifest_field_checks(tmp_path, line):
     out = _one_sample_set(tmp_path)
