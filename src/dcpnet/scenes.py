@@ -15,6 +15,15 @@ Samples are held at the precision their DCPT files store: float32 views,
 computed in float64 and rounded once, and uint8 class ids, so a dataset
 round-trips bitwise and `WorldSpec`, `ModelConfig` and the dataset header
 cap the class count at 256.
+
+`make_dataset` shares its frames across cores, with no option: frame k is
+made by process k mod P, the caller and one worker per extra core
+(`workers.borrowed`), and the dataset is bit-identical to the serial loop
+of `make_sample`.  A worker is forked on the first call with two or more
+samples and kept, so it runs the code as it was when it was forked: a
+function patched later reaches only the caller's share.  One core, no
+fork, a call off the main thread or a process forked from the worker's
+owner runs the serial loop.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import workers
 from .config import MAX_CLASSES, NoiseConfig, WorldSpec
 from .errors import ConfigError, FormatError, InputError
 from .tensorio import load_tensor, read_manifest, save_tensor, write_file
@@ -39,6 +49,7 @@ _KINDS = ("rect", "ellipse", "strip")  # shape kinds of the world painter
 SHAPE_DENSITY = 1.0  # expected shapes per 32x32 world patch, roughly
 DEGRADE_PROB = 0.5   # chance that a sample's victim view is degraded
 _TRIES = 64          # uniform draws a partner crop gets to sit min_sep from the first
+_SHARE = 16          # frames a process makes per round of make_dataset: what a worker holds at most
 
 # fixed palette: one anchor color per class, background first
 _PALETTE = np.array(
@@ -279,6 +290,23 @@ def make_sample(
     return SceneSample(views, masks, degraded, victim, clean_twin, mode, seed, frame, spec.classes)
 
 
+def _make_share(task, send) -> None:
+    """A worker's share of a dataset: its samples in frame order, sent once all
+    are made (a sample outgrows a pipe's buffer, so sending each at once would
+    stall the worker until the caller has made its own share), ending with
+    None at the first frame that fails."""
+    spec, mode, frames, seed, kwargs = task
+    made = []
+    for frame in frames:
+        try:
+            made.append(make_sample(spec, mode, frame, seed, **kwargs))
+        except Exception:
+            made.append(None)
+            break
+    for sample in made:
+        send(sample)
+
+
 def make_dataset(
     spec: WorldSpec,
     mode: str,
@@ -286,9 +314,37 @@ def make_dataset(
     seed: int,
     **kwargs,
 ) -> list[SceneSample]:
+    """`make_sample(spec, mode, frame, seed, **kwargs)` for frames 0 .. n_samples - 1.
+
+    With P processes (the caller and its workers, see `workers`), frame k
+    is made by process k mod P, at most `_SHARE` frames per process before
+    the workers' samples come back, and the caller puts them in frame
+    order.  A frame that no process made (one that failed, those after it
+    in its process's share, or a lost worker's) is made here at the end,
+    in order, so the call returns or raises what the serial loop would."""
     if n_samples < 1:
         raise InputError(f"sample count {n_samples} is below 1")
-    return [make_sample(spec, mode, frame, seed, **kwargs) for frame in range(n_samples)]
+    samples: list[SceneSample | None] = [None] * n_samples
+    try:
+        with workers.borrowed(_make_share, n_samples) as pool:
+            p = len(pool) + 1
+            for start in range(0, n_samples if pool else 0, p * _SHARE):  # without a pool, the loop below makes all
+                frames = range(start, min(start + p * _SHARE, n_samples))
+                for j, worker in enumerate(pool, 1):
+                    worker.send((spec, mode, frames[j::p], seed, kwargs))
+                for frame in frames[::p]:
+                    try:
+                        samples[frame] = make_sample(spec, mode, frame, seed, **kwargs)
+                    except Exception:
+                        break
+                for j, worker in enumerate(pool, 1):
+                    for frame in frames[j::p]:
+                        samples[frame] = worker.receive()
+                        if samples[frame] is None:
+                            break
+    except (EOFError, OSError):
+        pass  # a worker was lost and the pool dropped; the frames it owed are made below
+    return [make_sample(spec, mode, frame, seed, **kwargs) if s is None else s for frame, s in enumerate(samples)]
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +367,9 @@ def save_dataset(samples: list[SceneSample], dirpath) -> None:
     modes = sorted({s.mode for s in samples})
     if len(modes) > 1:
         raise InputError(f"samples disagree on the mode: {modes}")
+    unlisted = [(s.seed, s.frame) for s in samples if s.seed < 0 or not 0 <= s.frame < 2**32]
+    if unlisted:
+        raise InputError(f"(seed, frame) pairs {unlisted} have a negative seed or a frame outside [0, 2**32)")
     misfit = [s.frame for s in samples if (s.clean_twin is None) == (s.mode == "homo-cis")]
     if misfit:
         raise InputError(f"frames {misfit} do not fit {modes[0]}: a homo-cis sample has a clean twin, others none")

@@ -213,10 +213,24 @@ def test_k_bounded_pair_draws_are_one_k_by_2_draw(bit_generator, parity, hi):
         assert pickle.dumps(one_by_one.bit_generator.state) == pickle.dumps(at_once.bit_generator.state), (k, parity)
 
 
-# SHA-256 over make_dataset of every mode on the specs below: each sample's
-# views, masks and fields, and the state its generator ends in; recorded
-# before crop_views drew its partner candidates ahead
+# SHA-256 over the samples of every mode on the specs below, frame by frame:
+# each sample's views, masks and fields, and the state its generator ends
+# in; recorded over make_dataset before crop_views drew its partner
+# candidates ahead, and taken since over the serial make_sample loop,
+# because make_dataset's workers draw where no patch in this process sees
 DATASET_GOLDEN = "8c6dbaf4bfb94ba4ec0b4a96a65d34448fee572d871f8890ea3940c5a3e896ef"
+
+
+def _same_samples(a: list, b: list) -> bool:
+    """Bitwise equal samples: arrays with their dtypes and shapes, and every field."""
+    return len(a) == len(b) and all(
+        len(x.views) == len(y.views) and len(x.masks) == len(y.masks)
+        and all(u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes()
+                for u, v in zip(x.views + x.masks, y.views + y.masks))
+        and (x.degraded, x.victim, x.clean_twin, x.mode, x.seed, x.frame, x.classes)
+        == (y.degraded, y.victim, y.clean_twin, y.mode, y.seed, y.frame, y.classes)
+        for x, y in zip(a, b)
+    )
 
 
 def test_datasets_keep_their_bits(monkeypatch):
@@ -226,7 +240,6 @@ def test_datasets_keep_their_bits(monkeypatch):
         made.append(default_rng(*args))
         return made[-1]
 
-    monkeypatch.setattr(np.random, "default_rng", recording)
     runs = [
         (WorldSpec(), 8, {}),
         (small_spec(), 16, dict(n_platforms=2)),
@@ -237,7 +250,9 @@ def test_datasets_keep_their_bits(monkeypatch):
     for spec, count, kwargs in runs:
         for seed, mode in enumerate(scenes.MODES):
             made.clear()
-            samples = scenes.make_dataset(spec, mode, count, seed=seed, **kwargs)
+            monkeypatch.setattr(np.random, "default_rng", recording)
+            samples = [scenes.make_sample(spec, mode, frame, seed, **kwargs) for frame in range(count)]
+            monkeypatch.undo()
             assert len(made) == len(samples)
             for s, rng in zip(samples, made):
                 for a in s.views + s.masks:  # widened: recorded when samples were held in float64 / int64
@@ -245,6 +260,7 @@ def test_datasets_keep_their_bits(monkeypatch):
                     h.update(f"{wide.dtype.str}{wide.shape}".encode() + wide.tobytes())
                 h.update(repr((s.degraded, s.victim, s.clean_twin, s.mode, s.seed, s.frame, s.classes)).encode())
                 h.update(repr(rng.bit_generator.state).encode())
+            assert _same_samples(scenes.make_dataset(spec, mode, count, seed=seed, **kwargs), samples)
     assert h.hexdigest() == DATASET_GOLDEN
 
 
@@ -415,6 +431,14 @@ def test_a_dataset_holds_one_mode_and_a_twin_exactly_for_homo_cis(tmp_path):
     (out / "manifest.txt").write_text(manifest.replace("sample 1 homo-cis 1 0 1", "sample 1 homo-pis 1 0 -1"))
     with pytest.raises(FormatError, match="frame 1 is homo-pis, the first sample is homo-cis"):
         scenes.load_dataset(out)
+
+
+@pytest.mark.parametrize("field, value", [("seed", -1), ("frame", -1), ("frame", 2**32)])
+def test_save_dataset_refuses_a_seed_or_frame_load_dataset_would(tmp_path, field, value):
+    sample = replace(scenes.make_sample(small_spec(), "homo-cis", 0, 1, n_platforms=2), **{field: value})
+    with pytest.raises(InputError, match="negative seed or a frame outside"):
+        scenes.save_dataset([sample], tmp_path / "ds")
+    assert not (tmp_path / "ds").exists()
 
 
 def _one_sample_set(tmp_path):
